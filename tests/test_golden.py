@@ -1,0 +1,98 @@
+"""Golden pins: the bytes every shipped config writes, at reduced n_paths.
+
+The rerun checks in test_cli compare two runs of the same code, so a change
+that shifts every deviate or every reported float still passes them.  These
+pins compare against digests recorded in ``golden/pins.json``: any change to
+a normal deviate, an accumulation order or a report format fails here.
+
+A pin changes only on purpose.  Regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+and record in CHANGES.md which pins moved and why.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sheetcalc.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+PINS = Path(__file__).resolve().parent / "golden" / "pins.json"
+OUTPUTS = ("report.json", "report.csv", "field.csv")
+
+# case -> (shipped config, mc overrides).  The multi-block cases span two
+# path blocks (LINE_CHUNK, FIELD_CHUNK, HYP_CHUNK), one of them also at two
+# workers; the last case draws with a seed above 2**63.
+CASES = {
+    "bismut-linear": ("bismut-linear", {"n_paths": 2000}),
+    "holder-p": ("holder-p", {"n_paths": 2100}),
+    "holder-sheet": ("holder-sheet", {"n_paths": 20000}),
+    "ibp-linear": ("ibp-linear", {"n_paths": 16500}),
+    "ibp-linear-workers-2": ("ibp-linear", {"n_paths": 16500, "workers": 2}),
+    "ou-cross-validation": ("ou-cross-validation", {"n_paths": 500}),
+    "reversibility": ("reversibility", {"n_paths": 4200}),
+    "sheet-covariance": ("sheet-covariance", {"n_paths": 2000}),
+    "solve-ou-system": ("solve-ou-system", {"n_paths": 16}),
+    "verify-rules": ("verify-rules", {"n_paths": 1000}),
+    "reversibility-seed-2^63+1": ("reversibility", {"n_paths": 500, "seed": 2**63 + 1}),
+}
+
+
+def _without_workers(name, data: bytes) -> bytes:
+    """Output bytes with the worker count removed (MC reports record it)."""
+    if name == "report.json":
+        obj = json.loads(data)
+        obj.pop("workers", None)
+        return json.dumps(obj, sort_keys=True, indent=2).encode()
+    if name == "report.csv":
+        lines = data.decode().split("\n")
+        keys = lines[1].split(",")
+        if "workers" in keys:
+            k = keys.index("workers")
+            lines[1:3] = [",".join(v for i, v in enumerate(line.split(",")) if i != k)
+                          for line in lines[1:3]]
+        return "\n".join(lines).encode()
+    return data
+
+
+def run_case(case, outdir: Path) -> dict:
+    """Run one case into outdir; {output file: sha256 without workers}."""
+    config, overrides = CASES[case]
+    cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    cfg["mc"].update(overrides)
+    cfg["output"] = {"directory": str(outdir)}
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = run(str(path))
+    assert code == 0, f"{case}: exit code {code}"
+    return {
+        name: hashlib.sha256(_without_workers(name, (outdir / name).read_bytes())).hexdigest()
+        for name in OUTPUTS if (outdir / name).is_file()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_pins(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+    pins = json.loads(PINS.read_text())
+    assert run_case(case, tmp_path / "out") == pins[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    import os
+    import tempfile
+
+    os.environ.pop("OUTPUT_DIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {case: run_case(case, Path(tmp) / case) for case in sorted(CASES)}
+    PINS.parent.mkdir(exist_ok=True)
+    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} pins to {PINS}")
