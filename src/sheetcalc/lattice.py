@@ -16,6 +16,11 @@ Counter layout (Philox4x64, key = (seed, SALT)):
 Streams separate the independent noise consumers (cells, s/t-axis boundary
 motions, the exact OU sampler's per-level motions, derivative probing);
 channels separate different boundary paths sharing a stream.
+
+Invariant: consecutive paths are consecutive counters.  The path index is
+word 0, the word that counts, so for fixed words 1-3 a block of paths
+start..start+n-1 is one run of n consecutive Philox counters, which
+`philox.normal_block` draws with a single call to numpy's generator.
 """
 
 from __future__ import annotations
@@ -157,23 +162,16 @@ def normal_grid(seed, path_indices, stream, n_i, n_j, m, channel=0):
     address never depends on n_i/n_j/m, so enlarging a grid extends the
     draw rather than reshuffling it.
     """
-    paths = np.asarray(path_indices, dtype=np.uint64)
-    batch = paths.shape
     n_blocks = (n_i + 3) // 4
-    c0 = paths.reshape(batch + (1, 1, 1))
     word1 = (
         np.uint64(int(stream))
         | (np.uint64(channel) << np.uint64(8))
         | (np.arange(m, dtype=np.uint64) << np.uint64(32))
     )
-    c1 = word1.reshape((1,) * len(batch) + (1, 1, m))
-    c2 = np.arange(n_blocks, dtype=np.uint64).reshape((1,) * len(batch) + (n_blocks, 1, 1))
-    c3 = np.arange(n_j, dtype=np.uint64).reshape((1,) * len(batch) + (1, n_j, 1))
-    z = normal_block((c0, c1, c2, c3), _key(seed))
-    # (..., blocks, j, c, lane) -> (..., blocks, lane, j, c) -> (..., i, j, c)
-    z = np.moveaxis(z, -1, -3)
-    z = z.reshape(batch + (4 * n_blocks, n_j, m))
-    return np.ascontiguousarray(z[..., :n_i, :, :])
+    z = normal_block(path_indices, word1, n_blocks, n_j, _key(seed))
+    # (..., blocks, lane, j, c) -> (..., i, j, c): row i is lane i % 4 of block i // 4
+    z = z.reshape(np.shape(path_indices) + (4 * n_blocks, n_j, m))
+    return z if n_i == 4 * n_blocks else np.ascontiguousarray(z[..., :n_i, :, :])
 
 
 def sample_cell_increments(grid: Grid, noise: NoiseSpec) -> CellIncrements:

@@ -1,4 +1,4 @@
-"""Vectorized Philox4x64-10 counter-based generator with Box-Muller output.
+"""Counter-addressed standard normals: Philox4x64-10 bits, Box-Muller output.
 
 Every normal deviate produced by this package is addressed by an explicit
 128+256-bit (key, counter) tuple, so a draw is a pure function of its
@@ -8,62 +8,22 @@ requested is irrelevant.  One Philox block (4 words) yields 4 normals via
 two exact Box-Muller transforms; no approximation to the normal CDF is
 involved anywhere.
 
-The round function follows Random123 and is validated in the test suite
-against ``numpy.random.Philox`` raw output for the same (counter, key).
+The bits come from numpy's C Philox4x64-10 (``numpy.random.Philox``, the
+Random123 bijection of Salmon et al., SC'11); the test suite checks them
+against an independent pure-Python implementation.  That generator emits
+the outputs of consecutive counters (word 0 counts, carrying upward),
+so one ``random_raw`` call covers a whole run of consecutive word-0 values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-PHILOX_M1 = np.uint64(0xCA5A826395121157)
-WEYL_0 = np.uint64(0x9E3779B97F4A7C15)
-WEYL_1 = np.uint64(0xBB67AE8584CAA73B)
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _U53 = 2.0 ** -53
-_ROUNDS = 10
-
-
-def _mulhilo(a, b):
-    """Full 64x64 -> 128 bit product as (hi, lo) uint64 pair."""
-    a = np.uint64(a) if np.isscalar(a) else a
-    lo = a * b
-    a0 = a & _MASK32
-    a1 = a >> _SH32
-    b0 = b & _MASK32
-    b1 = b >> _SH32
-    # 32-bit partial products; every intermediate stays below 2**64.
-    t = a1 * b0 + ((a0 * b0) >> _SH32)
-    mid = (t & _MASK32) + a0 * b1
-    hi = a1 * b1 + (t >> _SH32) + (mid >> _SH32)
-    return hi, lo
-
-
-def philox4x64(counter, key, rounds=_ROUNDS):
-    """Apply the Philox4x64 bijection to a (broadcastable) counter array.
-
-    counter: sequence of 4 uint64 arrays/scalars, key: sequence of 2.
-    Returns the 4 output words, each with the broadcast shape.
-    """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0 = np.uint64(key[0])
-    k1 = np.uint64(key[1])
-    with np.errstate(over="ignore"):
-        for r in range(rounds):
-            if r > 0:
-                k0 = k0 + WEYL_0
-                k1 = k1 + WEYL_1
-            hi0, lo0 = _mulhilo(PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(PHILOX_M1, c2)
-            c0 = hi1 ^ c1 ^ k0
-            c1 = lo1
-            c2 = hi0 ^ c3 ^ k1
-            c3 = lo0
-    return c0, c1, c2, c3
+_MASK64 = 2**64 - 1
+_LANE_GROUP = 16
+_CHUNK = 1 << 17
 
 
 def _to_open_unit(w):
@@ -76,17 +36,70 @@ def _to_halfopen_unit(w):
     return (w >> _SH11).astype(np.float64) * _U53
 
 
-def normal_block(counter, key):
-    """Four standard normals per counter, shaped ``broadcast_shape + (4,)``.
+def _runs(flat):
+    """(first, stop) positions of the maximal runs of consecutive values
+    in a non-empty flat uint64 array."""
+    step_one = (flat[1:] - flat[:-1] == 1) & (flat[:-1] != np.uint64(_MASK64))
+    edges = [0, *(np.flatnonzero(~step_one) + 1).tolist(), flat.size]
+    return list(zip(edges[:-1], edges[1:]))
 
-    Words (0,1) and (2,3) each feed one Box-Muller transform; the four
-    outputs are mutually independent.
+
+def _philox_words(bitgen, flat, word1, lanes):
+    """The 4 output words of counters (p, word1[c], b, j) for p in `flat`
+    and (b, j, c) in `lanes`, shaped (4, flat.size, len(lanes))."""
+    words = np.empty((4, flat.size, len(lanes)), dtype=np.uint64)
+    # numpy advances the counter before each block, so every run starts one
+    # counter below its first address (a borrow through the 256-bit value).
+    counter = np.empty(4, dtype=np.uint64)
+    state = bitgen.state
+    state["state"]["counter"] = counter
+    state["buffer_pos"] = 4
+    for first, stop in _runs(flat):
+        start, n = int(flat[first]), stop - first
+        # Lanes go through a small buffer, _LANE_GROUP at a time, so that the
+        # transposed writes into `words` fill whole cache lines.
+        buf = np.empty((_LANE_GROUP, n, 4), dtype=np.uint64)
+        for g0 in range(0, len(lanes), _LANE_GROUP):
+            group = lanes[g0:g0 + _LANE_GROUP]
+            for g, (b, j, c) in enumerate(group):
+                below = (start | word1[c] << 64 | b << 128 | j << 192) - 1
+                for k in range(4):
+                    counter[k] = (below >> (64 * k)) & _MASK64
+                bitgen.state = state
+                buf[g] = bitgen.random_raw(4 * n).reshape(n, 4)
+            words[:, first:stop, g0:g0 + len(group)] = buf[:len(group)].transpose(2, 1, 0)
+    return words
+
+
+def normal_block(paths, word1, n_word2, n_word3, key):
+    """Four standard normals per Philox counter (p, w1, w2, w3).
+
+    p runs over the integer array ``paths`` (any shape and order), w1 over
+    the 1-D array ``word1``, w2 over range(n_word2) and w3 over
+    range(n_word3).  Returns ``paths.shape + (n_word2, 4, n_word3,
+    len(word1))``: the normals of counter (p, word1[c], b, j) sit at
+    [p, b, :, j, c].  Words (0,1) and (2,3) of each block feed one
+    Box-Muller transform each; the four outputs are mutually independent.
     """
-    w0, w1, w2, w3 = philox4x64(counter, key)
-    out = np.empty(np.broadcast_shapes(w0.shape, w1.shape) + (4,), dtype=np.float64)
-    for half, (wa, wb) in enumerate(((w0, w1), (w2, w3))):
-        r = np.sqrt(-2.0 * np.log(_to_open_unit(wa)))
-        theta = (2.0 * np.pi) * _to_halfopen_unit(wb)
-        out[..., 2 * half] = r * np.cos(theta)
-        out[..., 2 * half + 1] = r * np.sin(theta)
+    paths = np.asarray(paths, dtype=np.uint64)
+    flat = paths.reshape(-1)
+    word1 = [int(w) for w in np.asarray(word1, dtype=np.uint64)]
+    lanes = [(b, j, c) for b in range(n_word2) for j in range(n_word3)
+             for c in range(len(word1))]
+    # One generator per call: callers draw from several threads at once.
+    bitgen = np.random.Philox(key=np.asarray(key, dtype=np.uint64))
+    out = np.empty(paths.shape + (n_word2, 4, n_word3, len(word1)), dtype=np.float64)
+    out_rows = out.reshape((flat.size, n_word2, 4, n_word3 * len(word1)))
+    # Paths go _CHUNK counters at a time, which bounds the raw words and the
+    # Box-Muller temporaries held beside the output.
+    step = max(1, _CHUNK // len(lanes))
+    for p0 in range(0, flat.size, step):
+        words = _philox_words(bitgen, flat[p0:p0 + step], word1, lanes)
+        words = words.reshape((4, -1, n_word2, n_word3 * len(word1)))
+        rows = out_rows[p0:p0 + step]
+        for half in range(2):
+            r = np.sqrt(-2.0 * np.log(_to_open_unit(words[2 * half])))
+            theta = (2.0 * np.pi) * _to_halfopen_unit(words[2 * half + 1])
+            rows[:, :, 2 * half] = r * np.cos(theta)
+            rows[:, :, 2 * half + 1] = r * np.sin(theta)
     return out
