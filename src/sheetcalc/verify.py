@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDataError
+from .errors import ConfigurationError, DegenerateDataError, NumericsError
 from .hyperbolic import (
     CoefficientSet,
     SystemBoundaries,
@@ -122,9 +122,14 @@ class _PairedSums:
         self.n = 0
         self.sums = np.zeros((width, 5))  # sum_l, sum_r, sum_ll, sum_rr, sum_d2
 
-    def add(self, cols):
-        """cols: list of (l_array, r_array) pairs, one per tracked column."""
+    def add(self, cols, start=0):
+        """cols: list of (l_array, r_array) pairs, one per tracked column,
+        for the block of paths that begins at global path index `start`."""
         for k, (l, r) in enumerate(cols):
+            bad = np.flatnonzero(~(np.isfinite(l) & np.isfinite(r)))
+            if bad.size:
+                path = start + int(bad[0])
+                raise NumericsError(f"non-finite paired sample at path {path}", path=path)
             d = l - r
             self.sums[k] += (
                 np.sum(l), np.sum(r), np.sum(l * l), np.sum(r * r), np.sum(d * d)
@@ -168,7 +173,7 @@ def _run_paired(sample_fn, n_paths, chunk, workers, width=1):
     def one(block):
         start, count = block
         acc = _PairedSums(width)
-        acc.add(sample_fn(start, count))
+        acc.add(sample_fn(start, count), start)
         return acc
 
     if workers > 1:

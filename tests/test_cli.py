@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from sheetcalc.cli import run
 from sheetcalc.config import config_digest, expand_config
 
@@ -81,6 +83,18 @@ class TestRunCommands:
         cfg["grid"] = {"n_s": 8, "n_t": 2, "ds": 1e154, "dt": 0.5}
         cfg["mc"]["n_paths"] = 1
         assert run(_write(tmp_path, cfg)) == 3
+
+    def test_nonfinite_sample_exits_3_without_report(self, tmp_path, monkeypatch, capsys):
+        def nan_at_path_7(payoff, state, k):
+            out = np.zeros(state.x.shape[0])
+            out[7] = np.nan
+            return out
+
+        monkeypatch.setattr("sheetcalc.verify.apply_L", nan_at_path_7)
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
+        assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
+        assert "path=7" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_simulate_sheet_probes(self, tmp_path):
         cfg = _cfg(tmp_path, **{"mc.n_paths": 4000})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sheetcalc.errors import ConfigurationError, DegenerateDataError
+from sheetcalc.errors import ConfigurationError, DegenerateDataError, NumericsError
 from sheetcalc.lattice import Grid
 from sheetcalc.malliavin import Payoff
 from sheetcalc.models import (
@@ -15,6 +15,7 @@ from sheetcalc.models import (
 )
 from sheetcalc.hyperbolic import zero_coefficients
 from sheetcalc.verify import (
+    _run_paired,
     intercept_weights,
     run_bismut,
     run_carre_limit,
@@ -182,6 +183,18 @@ class TestHolderScan:
     def test_unknown_target(self):
         with pytest.raises(ConfigurationError):
             run_holder_scan("momentum", FIELD_GRID, 2.0, [0.125, 0.25, 0.5], 64, 11)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_sample_names_its_global_path(self, workers):
+        def sample(start, count):
+            paths = np.arange(start, start + count)
+            return [(paths.astype(float), np.where(paths == 2500, np.nan, 0.0))]
+
+        with pytest.raises(NumericsError, match="path 2500") as info:
+            _run_paired(sample, 4000, 1000, workers)
+        assert info.value.path == 2500
 
 
 class TestReportPlumbing:
