@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ModelError, NumericsError, ShapeError
-from .lattice import BoundaryPath, CellIncrements, Grid, Stream, normal_grid
+from .lattice import BoundaryPath, CellIncrements, Grid, Stream, cumsum0, normal_grid
 
 NORM_CONVENTION = "frobenius-of-concatenated-(u,u_inv,v,v_inv)"
 
@@ -205,7 +205,7 @@ def solve_system(
     """
     sol = _sweep(coeffs, boundaries, grid, incs, blowup_M)
     if check_transpose:
-        recon = sol.x[..., :, 0:1, :] + _cumsum0(sol.dt_x, axis=-2)
+        recon = sol.x[..., :, 0:1, :] + cumsum0(sol.dt_x, axis=-2)
         err = np.max(np.abs(np.where(sol.domain_mask[..., None], sol.x - recon, 0.0)))
         scale = max(1.0, float(np.max(np.abs(np.where(sol.domain_mask[..., None], sol.x, 0.0)))))
         if err > _TRANSPOSE_RTOL * scale:
@@ -213,13 +213,6 @@ def solve_system(
                 f"transposed association disagrees with the sweep: max err {err:.3e}"
             )
     return sol
-
-
-def _cumsum0(terms, axis):
-    out = np.cumsum(terms, axis=axis)
-    pad = list(out.shape)
-    pad[axis] = 1
-    return np.concatenate([np.zeros(pad), out], axis=axis)
 
 
 def _sweep(coeffs, boundaries, grid, incs, blowup_M):

@@ -35,11 +35,6 @@ from .philox import normal_block
 
 _KEY_SALT = np.uint64(0x243F6A8885A308D3)
 
-#: paths per internal evaluation block; fixed so that accumulation order,
-#: and therefore every reported float, is independent of the worker count.
-PATH_BLOCK = 16384
-
-
 class Stream(IntEnum):
     """Disjoint regions of the counter space."""
 
@@ -148,6 +143,13 @@ class BoundaryPath:
     @classmethod
     def deterministic(cls, values: np.ndarray, step: float):
         return cls(np.asarray(values, dtype=np.float64), step, kind="deterministic")
+
+
+def cumsum0(terms, axis):
+    """Partial sums along `axis` with a zero slab prepended."""
+    out = np.cumsum(terms, axis=axis)
+    pad = np.zeros_like(np.take(out, [0], axis=axis))
+    return np.concatenate([pad, out], axis=axis)
 
 
 def _key(seed) -> tuple:

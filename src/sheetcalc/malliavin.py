@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError, ShapeError
-from .lattice import Stream, normal_grid
+from .lattice import Stream, cumsum0, normal_grid
 
 _PROBE_POINTS = 8
 _PROBE_H = 1e-4
@@ -54,14 +54,6 @@ def _check_jacobian(fn, jac, x, h, name):
                 f"{name}: finite differences disagree with declared derivative "
                 f"(max err {float(err.max()):.3e} in column {b})"
             )
-
-
-def _cumsum0(terms: np.ndarray, node_axis: int) -> np.ndarray:
-    """Exclusive partial sums: a zero slab prepended along node_axis."""
-    out = np.cumsum(terms, axis=node_axis)
-    pad = list(out.shape)
-    pad[node_axis] = 1
-    return np.concatenate([np.zeros(pad), out], axis=node_axis)
 
 
 @dataclass
@@ -230,10 +222,10 @@ def compute_malliavin_line(
     # g[..., k, :, i] = U_k^{-1} X_{i+1}(x_k)
     g = np.einsum("...ab,...bm->...am", U_inv, vf.diffusion(x))
     g_l = g[..., :-1, :, :]
-    C = _cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, node_axis=-3)
+    C = cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, axis=-3)
     Gamma = np.einsum("...ab,...bc,...dc->...ad", U, C, U)
     g_mid = 0.5 * (g_l + g[..., 1:, :, :])
-    R = -_cumsum0(np.einsum("...am,...m->...a", g_mid, dz), node_axis=-2)
+    R = -cumsum0(np.einsum("...am,...m->...a", g_mid, dz), axis=-2)
     # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint weights
     # on the dz contraction, left endpoint on the dr terms.
     hs = np.stack([vf.hess_X[i](x) for i in range(1, vf.m + 1)], axis=-1)
@@ -241,20 +233,20 @@ def compute_malliavin_line(
     gam_l = Gamma[..., :-1, :, :]
     h_left = np.einsum("...acdm,...cd->...am", uinv_h[..., :-1, :, :, :, :], gam_l)
     h_right = np.einsum("...acdm,...cd->...am", uinv_h[..., 1:, :, :, :, :], gam_l)
-    t_hess_z = _cumsum0(
-        np.einsum("...am,...m->...a", 0.5 * (h_left + h_right), dz), node_axis=-2
+    t_hess_z = cumsum0(
+        np.einsum("...am,...m->...a", 0.5 * (h_left + h_right), dz), axis=-2
     )
     uinv_h0 = np.einsum("...ab,...bcd->...acd", U_inv, vf.hess_X[0](x))
-    t_hess_dr = _cumsum0(
+    t_hess_dr = cumsum0(
         np.einsum("...acd,...cd->...a", uinv_h0[..., :-1, :, :, :], gam_l) * ds,
-        node_axis=-2,
+        axis=-2,
     )
     jx = np.zeros(x.shape)
     for i in range(1, vf.m + 1):
         jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](x), vf.X[i](x))
-    t_bracket = _cumsum0(
+    t_bracket = cumsum0(
         np.einsum("...ab,...b->...a", U_inv[..., :-1, :, :], jx[..., :-1, :]) * ds,
-        node_axis=-2,
+        axis=-2,
     )
     r_in_l = -R if fault == "flip-r-sign" else R
     L = np.einsum("...ab,...b->...a", U, r_in_l + t_hess_z + t_hess_dr + t_bracket)

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
+from .lattice import cumsum0
 from .sheet import SheetField
 
 #: Moment bound constants: E|int a dw|^alpha <= C(alpha) E|int a^2|^(alpha/2).
@@ -91,13 +92,6 @@ def _check_lines(a: LineProcess, x: LineProcess):
         )
 
 
-def _cumsum0(terms, axis=-2):
-    """Partial sums with a zero prepended on `axis`."""
-    out = np.cumsum(terms, axis=axis)
-    pad = np.zeros_like(np.take(out, [0], axis=axis))
-    return np.concatenate([pad, out], axis=axis)
-
-
 def integral_zeta1(a: LineProcess, x: LineProcess, rule: str = "ito") -> LineProcess:
     """Line integral int a d x as partial sums of weight * increment."""
     _check_lines(a, x)
@@ -109,7 +103,7 @@ def integral_zeta1(a: LineProcess, x: LineProcess, rule: str = "ito") -> LinePro
         w = 0.5 * (av[..., :-1, :] + av[..., 1:, :])
     else:
         raise ConfigurationError(f"unknown rule {rule!r}")
-    return LineProcess(_cumsum0(w * dx), x.step, x.axis, x.fixed_other)
+    return LineProcess(cumsum0(w * dx, axis=-2), x.step, x.axis, x.fixed_other)
 
 
 def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) -> LineProcess:
@@ -119,7 +113,7 @@ def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) 
     if weight is not None:
         _check_lines(weight, x)
         terms = weight.values[..., :-1, :] * terms
-    return LineProcess(_cumsum0(terms), x.step, x.axis, x.fixed_other)
+    return LineProcess(cumsum0(terms, axis=-2), x.step, x.axis, x.fixed_other)
 
 
 def prefix2d(terms: np.ndarray, sweep: str = "s-major") -> np.ndarray:
