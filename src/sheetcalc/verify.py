@@ -122,7 +122,7 @@ class _PairedSums:
         self.n = 0
         self.sums = np.zeros((width, 5))  # sum_l, sum_r, sum_ll, sum_rr, sum_d2
 
-    def add(self, cols, start=0):
+    def add(self, cols, start):
         """cols: list of (l_array, r_array) pairs, one per tracked column,
         for the block of paths that begins at global path index `start`."""
         for k, (l, r) in enumerate(cols):
