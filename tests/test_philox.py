@@ -134,7 +134,7 @@ def test_normal_grid_batch_spanning_chunks_matches_scalar_draws():
 
 
 def test_normal_block_moments():
-    z = normal_block(np.arange(50000), np.array([1], dtype=np.uint64), 1, 1, (11, 12)).ravel()
+    z = normal_block(np.arange(200000), np.array([1], dtype=np.uint64), 1, 1, (11, 12)).ravel()
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
