@@ -28,8 +28,8 @@ from .errors import ConfigurationError, DegenerateDataError, ModelError, Numeric
     ShapeError
 from .hyperbolic import COEFFICIENT_PRESETS, SystemBoundaries, blowup_monitor, \
     ou_system_boundaries, solve_system
-from .lattice import BoundaryPath, CellIncrements, Channel, NoiseSpec, \
-    boundary_increments, sample_cell_increments_batch
+from .lattice import CellIncrements, NoiseSpec, sample_boundary_bm, \
+    sample_cell_increments_batch
 from .models import model_from_config, payoff_from_config
 from .rules import run_rules
 from .sheet import SheetField, build_sheet, dump_csv, sample_ou_exact_batch, \
@@ -55,7 +55,7 @@ def _sheet_batch(grid, seed, n_paths):
     return build_sheet(CellIncrements(incs, grid))
 
 
-def _cmd_simulate_sheet(cfg, digest):
+def _cmd_simulate_sheet(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     tol_se = float(cfg["run"]["probe_tolerance_se"])
@@ -81,17 +81,15 @@ def _cmd_simulate_sheet(cfg, digest):
     return report, ok, field
 
 
-def _cmd_sample_ou(cfg, digest):
+def _cmd_sample_ou(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     n = mc["n_paths"]
-    exact = sample_ou_exact_batch(grid, NoiseSpec(mc["seed"], 0, 1), n)[:, -1, -1, 0]
     spec = NoiseSpec(mc["seed"], 0, 1)
-    zb_incs = boundary_increments(grid.n_s, grid.ds, 1, spec, Channel.Z_S0, "s", n)
-    zb = np.zeros((n, grid.n_s + 1, 1))
-    zb[:, 1:, :] = np.cumsum(zb_incs, axis=-2)
+    exact = sample_ou_exact_batch(grid, spec, n)[:, -1, -1, 0]
+    zb = sample_boundary_bm(grid.n_s, grid.ds, 1, spec, batch=n)
     incs = CellIncrements(sample_cell_increments_batch(grid, spec, n), grid)
-    fld = solve_ou_hyperbolic(grid, BoundaryPath(zb, grid.ds), incs)
+    fld = solve_ou_hyperbolic(grid, zb, incs)
     solved = fld.values[:, -1, -1, 0]
     ks = _scipy_stats.ks_2samp(exact, solved)
     level = float(cfg["run"]["ks_level"])
@@ -106,7 +104,7 @@ def _cmd_sample_ou(cfg, digest):
     return report, ok, field
 
 
-def _cmd_verify_rules(cfg, digest):
+def _cmd_verify_rules(cfg):
     mc = cfg["mc"]
     report = run_rules(n_paths=mc["n_paths"], seed=mc["seed"])
     return report, bool(report["all_pass"]), None
@@ -115,10 +113,8 @@ def _cmd_verify_rules(cfg, digest):
 def _system_boundaries(name, coeffs, grid, seed, n_paths):
     if name == "ou":
         spec = NoiseSpec(seed, 0, coeffs.m)
-        bi = boundary_increments(grid.n_s, grid.ds, coeffs.m, spec, Channel.Z_S0, "s", n_paths)
-        zb = np.zeros((n_paths, grid.n_s + 1, coeffs.m))
-        zb[:, 1:, :] = np.cumsum(bi, axis=-2)
-        return ou_system_boundaries(grid, BoundaryPath(zb, grid.ds))
+        zb = sample_boundary_bm(grid.n_s, grid.ds, coeffs.m, spec, batch=n_paths)
+        return ou_system_boundaries(grid, zb)
     if name == "expgrow":
         return SystemBoundaries(
             x_s0=grid.s_nodes()[:, None],
@@ -134,7 +130,7 @@ def _system_boundaries(name, coeffs, grid, seed, n_paths):
     )
 
 
-def _cmd_solve_hyperbolic(cfg, digest):
+def _cmd_solve_hyperbolic(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     name = cfg["run"]["system"]
@@ -165,45 +161,29 @@ def _cmd_solve_hyperbolic(cfg, digest):
     return report, True, field
 
 
-def _cmd_run_ibp(cfg, digest):
+def _cmd_run_paired(cfg):
+    """run-ibp, run-bismut and run-reversibility: one paired z-test each."""
     grid = grid_from_config(cfg)
     mc, run = cfg["mc"], cfg["run"]
+    command = run["command"]
     model = model_from_config(cfg["model"])
     f = payoff_from_config(run["payoff_f"], d=model.vf.d)
-    g = payoff_from_config(run["payoff_g"], d=model.vf.d)
-    rep = run_ibp(model, f, g, grid, mc["n_paths"], mc["seed"],
-                  workers=mc["workers"], fault=run["fault"])
-    rep.config_digest = digest
+    if command == "run-bismut":
+        rep = run_bismut(model, f, grid, mc["n_paths"], mc["seed"],
+                         workers=mc["workers"], component=int(run["component"]))
+    else:
+        g = payoff_from_config(run["payoff_g"], d=model.vf.d)
+        if command == "run-ibp":
+            rep = run_ibp(model, f, g, grid, mc["n_paths"], mc["seed"],
+                          workers=mc["workers"], fault=run["fault"])
+        else:
+            rep = run_reversibility(model, f, g, grid, float(run["t_gap"]), mc["n_paths"],
+                                    mc["seed"], workers=mc["workers"])
     ok = abs(rep.z_score) <= float(run["assert_z"])
     return rep.to_dict(), ok, None
 
 
-def _cmd_run_bismut(cfg, digest):
-    grid = grid_from_config(cfg)
-    mc, run = cfg["mc"], cfg["run"]
-    model = model_from_config(cfg["model"])
-    f = payoff_from_config(run["payoff_f"], d=model.vf.d)
-    rep = run_bismut(model, f, grid, mc["n_paths"], mc["seed"],
-                     workers=mc["workers"], component=int(run["component"]))
-    rep.config_digest = digest
-    ok = abs(rep.z_score) <= float(run["assert_z"])
-    return rep.to_dict(), ok, None
-
-
-def _cmd_run_reversibility(cfg, digest):
-    grid = grid_from_config(cfg)
-    mc, run = cfg["mc"], cfg["run"]
-    model = model_from_config(cfg["model"])
-    f = payoff_from_config(run["payoff_f"], d=model.vf.d)
-    g = payoff_from_config(run["payoff_g"], d=model.vf.d)
-    rep = run_reversibility(model, f, g, grid, float(run["t_gap"]), mc["n_paths"],
-                            mc["seed"], workers=mc["workers"])
-    rep.config_digest = digest
-    ok = abs(rep.z_score) <= float(run["assert_z"])
-    return rep.to_dict(), ok, None
-
-
-def _cmd_holder_scan(cfg, digest):
+def _cmd_holder_scan(cfg):
     grid = grid_from_config(cfg)
     mc, run = cfg["mc"], cfg["run"]
     target = run["target"]
@@ -212,7 +192,6 @@ def _cmd_holder_scan(cfg, digest):
     rep = run_holder_scan(target, grid, float(run["alpha"]), run["lags"],
                           mc["n_paths"], mc["seed"], workers=mc["workers"],
                           model=model, coeffs=coeffs)
-    rep.config_digest = digest
     lo, hi = run["slope_range"] or ((0.9, 1.1) if target == "sheet" else (0.85, 1.15))
     ok = lo <= rep.fitted_slope <= hi
     out = rep.to_dict()
@@ -226,30 +205,30 @@ _DISPATCH = {
     "sample-ou": _cmd_sample_ou,
     "verify-rules": _cmd_verify_rules,
     "solve-hyperbolic": _cmd_solve_hyperbolic,
-    "run-ibp": _cmd_run_ibp,
-    "run-bismut": _cmd_run_bismut,
-    "run-reversibility": _cmd_run_reversibility,
+    "run-ibp": _cmd_run_paired,
+    "run-bismut": _cmd_run_paired,
+    "run-reversibility": _cmd_run_paired,
     "holder-scan": _cmd_holder_scan,
 }
 
 
 def _write_csv(report: dict, path: str):
-    digest = report.get("config_digest", "")
+    kind = report["kind"]
     with open(path, "w") as fh:
-        fh.write(f"# sheetcalc-csv v1 kind={report.get('kind', 'report')} digest={digest}\n")
+        fh.write(f"# sheetcalc-csv v1 kind={kind} digest={report['config_digest']}\n")
         rows = None
-        if report.get("kind") == "rules-report":
+        if kind == "rules-report":
             rows = ("name,value,threshold,pass\n", [
                 f"{r['name']},{r['value']!r},{r['threshold']!r},{r['pass']}\n"
                 for r in report["rules"]
             ])
-        elif report.get("kind") == "sheet-covariance":
+        elif kind == "sheet-covariance":
             rows = ("i1,j1,i2,j2,expected,estimate,se,pass\n", [
                 f"{p['nodes'][0][0]},{p['nodes'][0][1]},{p['nodes'][1][0]},{p['nodes'][1][1]},"
                 f"{p['expected']!r},{p['estimate']!r},{p['se']!r},{p['pass']}\n"
                 for p in report["probes"]
             ])
-        elif report.get("kind") == "holder-report":
+        elif kind == "holder-report":
             rows = ("lag,moment,moment_se\n", [
                 f"{lag!r},{mom!r},{se!r}\n"
                 for lag, mom, se in zip(report["lags"], report["moments"], report["moment_ses"])
@@ -278,8 +257,8 @@ def run(config_path, assert_thresholds=False, workers=None, seed_override=None) 
         with open(os.path.join(outdir, "expanded-config.json"), "w") as fh:
             json.dump(cfg, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        report, ok, field = _DISPATCH[cfg["run"]["command"]](cfg, digest)
-        report.setdefault("config_digest", digest)
+        report, ok, field = _DISPATCH[cfg["run"]["command"]](cfg)
+        report["config_digest"] = digest
         report["command"] = cfg["run"]["command"]
         if "json" in cfg["output"]["formats"]:
             with open(os.path.join(outdir, "report.json"), "w") as fh:

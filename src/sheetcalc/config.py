@@ -1,10 +1,13 @@
-"""Experiment configuration: validation, preset expansion, digests.
+"""Experiment configuration: validation, preset expansion, the digest.
 
 A config is a JSON tree with sections grid / model / mc / run / output.
 Before execution every preset is expanded to its fully explicit form; the
-expanded tree is what gets digested (sha256 of canonical JSON) and written
-next to the outputs, and re-running that file reproduces the run byte for
-byte (for the same worker count).
+expanded tree is written next to the outputs, and re-running that file
+reproduces the run byte for byte (for the same worker count).
+
+`config_digest` is the package's only digest: the command line embeds it in
+every report it writes.  Reports returned by the library runners in
+`verify` carry none.
 """
 
 from __future__ import annotations
@@ -50,12 +53,9 @@ _RUN_DEFAULTS = {
 }
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_digest(expanded: dict) -> str:
-    """Digest of the experiment-defining sections.
+    """Digest of the experiment-defining sections: the first 16 hex digits
+    of the sha256 of their canonical JSON.
 
     The output sink and the worker count are resource knobs, not part of an
     experiment's identity: results are combined in fixed block order, so any
@@ -64,7 +64,8 @@ def config_digest(expanded: dict) -> str:
     """
     body = {k: v for k, v in expanded.items() if k != "output"}
     body["mc"] = {k: v for k, v in body["mc"].items() if k != "workers"}
-    return hashlib.sha256(canonical_json(body).encode()).hexdigest()[:16]
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _need(cfg, section, key, typ, where):

@@ -202,28 +202,20 @@ def sample_boundary_bm(
     noise: NoiseSpec,
     channel: int = Channel.Z_S0,
     axis: str = "s",
-    kind: str = "brownian",
     batch=None,
 ) -> BoundaryPath:
     """Brownian path from 0 on n steps of size `step`, one per component.
 
     Disjoint from cell increments and from paths on other channels/axes by
-    counter-space separation.  kind="zero" returns the all-zero path.
+    counter-space separation.  The only place that turns
+    `boundary_increments` into a zero-started line.
     """
     if n < 1:
         raise ConfigurationError(f"boundary path needs n >= 1, got {n}")
     if not (step > 0.0):
         raise ConfigurationError(f"boundary path needs step > 0, got {step}")
-    shape = (() if batch is None else (batch,)) + (n + 1, dim)
-    if kind == "zero":
-        return BoundaryPath(np.zeros(shape), step, kind="zero")
-    if kind != "brownian":
-        raise ConfigurationError(f"unknown boundary kind {kind!r}")
-    values = np.zeros(shape)
-    values[..., 1:, :] = np.cumsum(
-        boundary_increments(n, step, dim, noise, channel, axis, batch), axis=-2
-    )
-    return BoundaryPath(values, step, kind="brownian")
+    incs = boundary_increments(n, step, dim, noise, channel, axis, batch)
+    return BoundaryPath(cumsum0(incs, axis=-2), step)
 
 
 def boundary_increments(n, step, dim, noise: NoiseSpec, channel, axis="s", batch=None):

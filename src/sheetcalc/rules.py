@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import CellIncrements, Channel, Grid, NoiseSpec, boundary_increments, \
+from .lattice import CellIncrements, Grid, NoiseSpec, cumsum0, sample_boundary_bm, \
     sample_cell_increments_batch
 from .sheet import SheetField, build_sheet
 from .stochcalc import (
@@ -33,11 +33,8 @@ def _line(values, step):
     return LineProcess.from_values(values, step)
 
 
-def _brownian_lines(n, step, n_paths, seed, channel=Channel.Z_S0):
-    incs = boundary_increments(n, step, 1, NoiseSpec(seed, 0, 1), channel, "s", n_paths)
-    z = np.zeros((n_paths, n + 1, 1))
-    z[:, 1:, :] = np.cumsum(incs, axis=-2)
-    return z
+def _brownian_lines(n, step, n_paths, seed):
+    return sample_boundary_bm(n, step, 1, NoiseSpec(seed, 0, 1), batch=n_paths).values
 
 
 def rule_telescoping_zeta1(seed) -> tuple:
@@ -76,11 +73,8 @@ def rule_ito_stratonovich_bridge(seed) -> tuple:
     la, lx = _line(a, 1 / 256), _line(x, 1 / 256)
     strat = integral_zeta1(la, lx, rule="stratonovich").values
     ito = integral_zeta1(la, lx, rule="ito").values
-    corr = integral_zeta2(lx, lx, weight=None)
     da_dx = np.diff(a, axis=-2) * np.diff(x, axis=-2)
-    bridge = ito + 0.5 * np.concatenate(
-        [np.zeros_like(da_dx[:, :1]), np.cumsum(da_dx, axis=-2)], axis=-2
-    )
+    bridge = ito + 0.5 * cumsum0(da_dx, axis=-2)
     err = np.max(np.abs(strat - bridge))
     return ("ito-stratonovich-bridge", float(err), 0.0, err == 0.0)
 

@@ -3,15 +3,17 @@
 Every check is a paired estimator: both sides of an identity are computed
 path by path on identical driving noise (common random numbers via the
 counter-addressed generator), and the report's z-score uses the variance of
-the per-path differences.  Paths are processed in fixed-size blocks whose
-partial sums are combined in block order, so a report is bit-identical for
-any worker count.
+the per-path differences.  Paths are processed in fixed-size blocks
+(`_map_blocks`) whose partial sums are combined in block order, so a report
+is bit-identical for any worker count.  A non-finite sample, or a solver
+failure inside a block, raises `NumericsError` naming the global path index.
+
+Reports carry no digest: the command line digests the expanded config
+(`config.config_digest`) and adds it to the outputs it writes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,28 +29,19 @@ from .hyperbolic import (
 )
 from .lattice import (
     CellIncrements,
-    Channel,
     Grid,
     NoiseSpec,
-    boundary_increments,
+    cumsum0,
+    sample_boundary_bm,
     sample_cell_increments_batch,
 )
 from .malliavin import apply_L, compute_malliavin_line, solve_state_line
 from .models import Model
 from .sheet import solve_ou_hyperbolic
-from .lattice import BoundaryPath
 
 LINE_CHUNK = 16384   # paths per block for one-line runs
 FIELD_CHUNK = 4096   # paths per block when a full OU field is needed
 HYP_CHUNK = 2048     # paths per block for general hyperbolic sweeps
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def config_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -61,7 +54,6 @@ class MCReport:
     rhs_se: float
     n_paths: int
     z_score: float
-    config_digest: str
     workers: int
     diff_mean: float
     diff_se: float
@@ -76,7 +68,6 @@ class MCReport:
             "rhs_se": self.rhs_se,
             "n_paths": self.n_paths,
             "z_score": self.z_score,
-            "config_digest": self.config_digest,
             "workers": self.workers,
             "diff_mean": self.diff_mean,
             "diff_se": self.diff_se,
@@ -97,7 +88,6 @@ class HolderReport:
     alpha: float
     target: str
     n_paths: int
-    config_digest: str
 
     def to_dict(self) -> dict:
         return {
@@ -110,8 +100,16 @@ class HolderReport:
             "alpha": self.alpha,
             "target": self.target,
             "n_paths": self.n_paths,
-            "config_digest": self.config_digest,
         }
+
+
+def _check_finite(start, *samples):
+    """Raise NumericsError at the first path where any per-path sample is
+    non-finite; the block of samples begins at global path index `start`."""
+    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(s) for s in samples]))
+    if bad.size:
+        path = start + int(bad[0])
+        raise NumericsError(f"non-finite sample at path {path}", path=path)
 
 
 class _PairedSums:
@@ -126,10 +124,7 @@ class _PairedSums:
         """cols: list of (l_array, r_array) pairs, one per tracked column,
         for the block of paths that begins at global path index `start`."""
         for k, (l, r) in enumerate(cols):
-            bad = np.flatnonzero(~(np.isfinite(l) & np.isfinite(r)))
-            if bad.size:
-                path = start + int(bad[0])
-                raise NumericsError(f"non-finite paired sample at path {path}", path=path)
+            _check_finite(start, l, r)
             d = l - r
             self.sums[k] += (
                 np.sum(l), np.sum(r), np.sum(l * l), np.sum(r * r), np.sum(d * d)
@@ -156,54 +151,63 @@ class _PairedSums:
         return ml, se_l, mr, se_r, md, se_d, z
 
 
-def _blocks(n_paths, chunk):
-    start = 0
-    while start < n_paths:
-        count = min(chunk, n_paths - start)
-        yield start, count
-        start += count
+def _map_blocks(block_fn, n_paths, chunk, workers):
+    """block_fn(start, count) over fixed blocks of `chunk` paths, serially or
+    on `workers` threads; returns the partials in block order.  Every
+    estimate needs a sample variance, so at least two paths are required.
+
+    Solvers name a failing path by its index in the block's arrays; a
+    NumericsError carrying such a tuple is rebased to the global path.
+    """
+    if n_paths < 2:
+        raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
+    blocks = [(start, min(chunk, n_paths - start)) for start in range(0, n_paths, chunk)]
+
+    def one(block):
+        start, count = block
+        try:
+            return block_fn(start, count)
+        except NumericsError as exc:
+            if isinstance(exc.path, tuple) and exc.path:
+                exc.path = (start + exc.path[0],) + exc.path[1:]
+            raise
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, blocks))
+    return [one(b) for b in blocks]
 
 
 def _run_paired(sample_fn, n_paths, chunk, workers, width=1):
     """Evaluate sample_fn(start, count) over fixed blocks; merge in order."""
-    if n_paths < 2:
-        raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
-    blocks = list(_blocks(n_paths, chunk))
 
-    def one(block):
-        start, count = block
+    def block(start, count):
         acc = _PairedSums(width)
         acc.add(sample_fn(start, count), start)
         return acc
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, blocks))
-    else:
-        partials = [one(b) for b in blocks]
     total = _PairedSums(width)
-    for part in partials:  # fixed block order: reports are worker-invariant
-        total.merge(part)
+    for part in _map_blocks(block, n_paths, chunk, workers):
+        total.merge(part)  # fixed block order: reports are worker-invariant
     return total
 
 
-def _report(total, n_paths, workers, digest, extras=None) -> MCReport:
+def _report(total, n_paths, workers, extras=None) -> MCReport:
     ml, se_l, mr, se_r, md, se_d, z = total.stats()
     return MCReport(
         lhs_mean=float(ml), lhs_se=float(se_l), rhs_mean=float(mr),
         rhs_se=float(se_r), n_paths=n_paths, z_score=float(z),
-        config_digest=digest, workers=workers, diff_mean=float(md),
-        diff_se=float(se_d), extras=extras or {},
+        workers=workers, diff_mean=float(md), diff_se=float(se_d),
+        extras=extras or {},
     )
 
 
-def _boundary_line(grid: Grid, noise: NoiseSpec, start, count):
-    """The t=0 driving line z_{s0} for a block of paths: (count, n_s+1, m)."""
-    spec = NoiseSpec(noise.seed, start, noise.m)
-    incs = boundary_increments(grid.n_s, grid.ds, noise.m, spec, Channel.Z_S0, "s", count)
-    z = np.zeros((count, grid.n_s + 1, noise.m))
-    z[:, 1:, :] = np.cumsum(incs, axis=-2)
-    return z
+def _ou_field(grid: Grid, spec: NoiseSpec, count):
+    """OU field for `count` paths from spec.path_index, driven by the t=0
+    line z_{s0} and the cell increments of the same paths."""
+    zb = sample_boundary_bm(grid.n_s, grid.ds, spec.m, spec, batch=count)
+    incs = CellIncrements(sample_cell_increments_batch(grid, spec, count), grid)
+    return solve_ou_hyperbolic(grid, zb, incs)
 
 
 def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: int,
@@ -213,11 +217,11 @@ def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: in
     lhs sample: grad f(x_end) Gamma_end grad g(x_end); rhs: -f(x_end) LG(x_end).
     """
     vf, x0, m = model.vf, model.x0, model.vf.m
-    noise = NoiseSpec(seed, 0, m)
     k = grid.n_s
 
     def sample(start, count):
-        z = _boundary_line(grid, noise, start, count)
+        spec = NoiseSpec(seed, start, m)
+        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count).values
         x, U, Uinv = solve_state_line(vf, z, x0, grid.ds)
         state = compute_malliavin_line(vf, x, U, Uinv, z, grid.ds, fault=fault)
         xk = x[:, k, :]
@@ -227,24 +231,19 @@ def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: in
         rhs = -payoff_f.f(xk) * apply_L(payoff_g, state, k)
         return [(lhs, rhs)]
 
-    digest = config_digest({
-        "op": "run-ibp", "model": model.name, "f": payoff_f.name, "g": payoff_g.name,
-        "grid": [grid.n_s, grid.n_t, grid.ds, grid.dt], "n_paths": n_paths,
-        "seed": seed, "fault": fault,
-    })
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
-    return _report(total, n_paths, workers, digest, {"fault": fault})
+    return _report(total, n_paths, workers, {"fault": fault})
 
 
 def run_bismut(model: Model, payoff_f, grid: Grid, n_paths: int, seed: int,
                workers: int = 1, component: int = 0) -> MCReport:
     """Check E[grad f(x) U C]_j = -E[f(x) R_j] on the t=0 line (component j)."""
     vf, x0, m = model.vf, model.x0, model.vf.m
-    noise = NoiseSpec(seed, 0, m)
     k = grid.n_s
 
     def sample(start, count):
-        z = _boundary_line(grid, noise, start, count)
+        spec = NoiseSpec(seed, start, m)
+        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count).values
         x, U, Uinv = solve_state_line(vf, z, x0, grid.ds)
         state = compute_malliavin_line(vf, x, U, Uinv, z, grid.ds)
         xk = x[:, k, :]
@@ -253,32 +252,8 @@ def run_bismut(model: Model, payoff_f, grid: Grid, n_paths: int, seed: int,
         rhs_vec = -payoff_f.f(xk)[:, None] * state.R[:, k, :]
         return [(lhs_vec[:, component], rhs_vec[:, component])]
 
-    digest = config_digest({
-        "op": "run-bismut", "model": model.name, "f": payoff_f.name,
-        "grid": [grid.n_s, grid.n_t, grid.ds, grid.dt], "n_paths": n_paths,
-        "seed": seed, "component": component,
-    })
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
-    return _report(total, n_paths, workers, digest)
-
-
-def _ou_field(grid: Grid, noise: NoiseSpec, start, count):
-    spec = NoiseSpec(noise.seed, start, noise.m)
-    zb = BoundaryPath(
-        np.concatenate(
-            [
-                np.zeros((count, 1, noise.m)),
-                np.cumsum(
-                    boundary_increments(grid.n_s, grid.ds, noise.m, spec, Channel.Z_S0, "s", count),
-                    axis=-2,
-                ),
-            ],
-            axis=-2,
-        ),
-        grid.ds,
-    )
-    incs = CellIncrements(sample_cell_increments_batch(grid, spec, count), grid)
-    return solve_ou_hyperbolic(grid, zb, incs)
+    return _report(total, n_paths, workers)
 
 
 def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float,
@@ -286,11 +261,10 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
     """Check E[(F'-F)(G'-G)] = -2 E[F (G'-G)] across a t-gap of the OU field."""
     vf, x0, m = model.vf, model.x0, model.vf.m
     j_gap = grid.t_index(t_gap)
-    noise = NoiseSpec(seed, 0, m)
     k = grid.n_s
 
     def sample(start, count):
-        z_field = _ou_field(grid, noise, start, count)
+        z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
         x0_line, _, _ = solve_state_line(vf, z_field.t_line(0), x0, grid.ds)
         xg_line, _, _ = solve_state_line(vf, z_field.t_line(j_gap), x0, grid.ds)
         F = payoff_f.f(x0_line[:, k, :])
@@ -301,13 +275,8 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
         rhs = -2.0 * F * (Gp - G)
         return [(lhs, rhs)]
 
-    digest = config_digest({
-        "op": "run-reversibility", "model": model.name, "f": payoff_f.name,
-        "g": payoff_g.name, "grid": [grid.n_s, grid.n_t, grid.ds, grid.dt],
-        "t_gap": t_gap, "n_paths": n_paths, "seed": seed,
-    })
     total = _run_paired(sample, n_paths, FIELD_CHUNK, workers)
-    return _report(total, n_paths, workers, digest, {"t_gap": t_gap})
+    return _report(total, n_paths, workers, {"t_gap": t_gap})
 
 
 def intercept_weights(ts) -> np.ndarray:
@@ -332,11 +301,10 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
         raise ConfigurationError("need at least two t-gaps to extrapolate")
     j_gaps = [grid.t_index(t) for t in gaps]
     wts = intercept_weights(gaps)
-    noise = NoiseSpec(seed, 0, m)
     k = grid.n_s
 
     def sample(start, count):
-        z_field = _ou_field(grid, noise, start, count)
+        z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
         z0 = z_field.t_line(0)
         x_line, U, Uinv = solve_state_line(vf, z0, x0, grid.ds)
         state = compute_malliavin_line(vf, x_line, U, Uinv, z0, grid.ds)
@@ -354,13 +322,8 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
             extrap = extrap + wgt * ((Fp - F) * (Gp - G) / gap)
         return [(extrap, carre)]
 
-    digest = config_digest({
-        "op": "run-carre", "model": model.name, "f": payoff_f.name, "g": payoff_g.name,
-        "grid": [grid.n_s, grid.n_t, grid.ds, grid.dt], "t_gaps": gaps,
-        "n_paths": n_paths, "seed": seed,
-    })
     total = _run_paired(sample, n_paths, FIELD_CHUNK, workers)
-    return _report(total, n_paths, workers, digest, {"t_gaps": gaps})
+    return _report(total, n_paths, workers, {"t_gaps": gaps})
 
 
 class _MomentSums:
@@ -404,18 +367,15 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
     if chunk is None:
         raise ConfigurationError(f"unknown holder target {target!r}")
 
-    noise = NoiseSpec(seed, 0, model.vf.m if model is not None else 1)
-
     def level_values(start, count):
         """X at (s = k*ds, t = level) for levels {0} + lags: list of arrays."""
         if target == "sheet":
             spec = NoiseSpec(seed, start, 1)
             incs = sample_cell_increments_batch(grid, spec, count)[..., 0]
-            col = np.cumsum(np.sum(incs[:, :k, :], axis=1), axis=-1)
-            levels = np.concatenate([np.zeros((count, 1)), col], axis=-1)
+            levels = cumsum0(np.sum(incs[:, :k, :], axis=1), axis=-1)
             return [levels[:, 0]] + [levels[:, j] for j in j_lags]
         if target in ("x", "u"):
-            z_field = _ou_field(grid, noise, start, count)
+            z_field = _ou_field(grid, NoiseSpec(seed, start, model.vf.m), count)
             out = []
             for j in [0] + j_lags:
                 x, U, _ = solve_state_line(model.vf, z_field.t_line(j), model.x0, grid.ds)
@@ -439,24 +399,16 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
         sol = solve_system(coeffs, bounds, grid, incs)
         return [sol.p[:, k, 0, 0]] + [sol.p[:, k, j, 0] for j in j_lags]
 
-    def one(block):
-        start, count = block
+    def block(start, count):
         vals = level_values(start, count)
-        base = vals[0]
+        samples = [np.abs(v - vals[0]) ** alpha for v in vals[1:]]
+        _check_finite(start, *samples)
         acc = _MomentSums(len(lags))
-        acc.add(np.stack(
-            [np.abs(v - base) ** alpha for v in vals[1:]], axis=-1
-        ))
+        acc.add(np.stack(samples, axis=-1))
         return acc
 
-    blocks = list(_blocks(n_paths, chunk))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, blocks))
-    else:
-        partials = [one(b) for b in blocks]
     acc = _MomentSums(len(lags))
-    for part in partials:
+    for part in _map_blocks(block, n_paths, chunk, workers):
         acc.merge(part)
 
     moments = acc.s / acc.n
@@ -477,10 +429,6 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
     # widen by the statistical error of the moments themselves
     stat = float(np.max(moment_ses / moments)) / np.sqrt(sxx)
     half = 1.96 * max(slope_se, stat)
-    digest = config_digest({
-        "op": "holder-scan", "target": target, "alpha": alpha, "lags": lags,
-        "grid": [grid.n_s, grid.n_t, grid.ds, grid.dt], "n_paths": n_paths, "seed": seed,
-    })
     return HolderReport(
         lags=[float(t) for t in lags],
         moments=[float(v) for v in moments],
@@ -490,26 +438,4 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
         alpha=alpha,
         target=target,
         n_paths=n_paths,
-        config_digest=digest,
     )
-
-
-def write_report_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def write_report_csv(report, path):
-    d = report.to_dict()
-    with open(path, "w") as fh:
-        fh.write(f"# sheetcalc-csv v1 kind={d['kind']} digest={d['config_digest']}\n")
-        if isinstance(report, HolderReport):
-            fh.write("lag,moment,moment_se\n")
-            for lag, mom, se in zip(report.lags, report.moments, report.moment_ses):
-                fh.write(f"{lag!r},{mom!r},{se!r}\n")
-            fh.write(f"# slope={report.fitted_slope!r} ci=({report.slope_ci[0]!r},{report.slope_ci[1]!r})\n")
-        else:
-            keys = [k for k in sorted(d) if k not in ("kind",)]
-            fh.write(",".join(keys) + "\n")
-            fh.write(",".join(repr(d[k]) if isinstance(d[k], float) else str(d[k]) for k in keys) + "\n")

@@ -4,8 +4,8 @@ import json
 
 import numpy as np
 
-from sheetcalc.cli import run
-from sheetcalc.config import config_digest, expand_config
+from sheetcalc.cli import _DISPATCH, run
+from sheetcalc.config import COMMANDS, config_digest, expand_config
 
 BASE = {
     "grid": {"n_s": 32, "n_t": 8, "ds": 0.03125, "dt": 0.125},
@@ -35,6 +35,9 @@ def _cfg(tmp_path, outname="out", **overrides):
 
 
 class TestValidation:
+    def test_every_command_has_a_handler(self):
+        assert sorted(_DISPATCH) == sorted(COMMANDS)
+
     def test_bad_ds_names_field(self, tmp_path, capsys):
         cfg = _cfg(tmp_path)
         cfg["grid"]["ds"] = 0
@@ -92,6 +95,25 @@ class TestRunCommands:
 
         monkeypatch.setattr("sheetcalc.verify.apply_L", nan_at_path_7)
         cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
+        assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
+        assert "path=7" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_nonfinite_level_value_exits_3_without_report(self, tmp_path, monkeypatch, capsys):
+        from sheetcalc import verify
+
+        draw = verify.sample_cell_increments_batch
+
+        def nan_at_path_7(grid, noise, batch):
+            incs = draw(grid, noise, batch)
+            incs[7 - noise.path_index] = np.nan
+            return incs
+
+        monkeypatch.setattr(verify, "sample_cell_increments_batch", nan_at_path_7)
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
+        cfg["grid"] = {"n_s": 8, "n_t": 4, "ds": 0.125, "dt": 1.0 / 16}
+        cfg["run"] = {"command": "holder-scan", "target": "sheet",
+                      "lags": [1.0 / 16, 1.0 / 8, 1.0 / 4]}
         assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
         assert "path=7" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()

@@ -94,11 +94,6 @@ class TestBoundaryPath:
         v = bp.values[:, -1, 0].var(ddof=1)
         assert abs(v - 1.0) <= 4.0 * np.sqrt(2.0 / paths)
 
-    def test_zero_kind(self):
-        bp = sample_boundary_bm(8, 0.125, 2, NoiseSpec(seed=5), kind="zero")
-        assert bp.kind == "zero"
-        assert np.all(bp.values == 0.0)
-
     def test_determinism(self):
         a = sample_boundary_bm(8, 0.125, 2, NoiseSpec(seed=5, path_index=3))
         b = sample_boundary_bm(8, 0.125, 2, NoiseSpec(seed=5, path_index=3))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sheetcalc import lattice
 from sheetcalc.errors import ConfigurationError, DegenerateDataError, NumericsError
-from sheetcalc.lattice import Grid
+from sheetcalc.lattice import Grid, Stream
 from sheetcalc.malliavin import Payoff
 from sheetcalc.models import (
     constant_payoff,
@@ -167,6 +168,11 @@ class TestHolderScan:
                               [1.0 / 16, 1.0 / 8, 1.0 / 4], 4000, 9, model=linear_1d())
         assert 0.8 <= rep.fitted_slope <= 1.2
 
+    def test_needs_two_paths(self):
+        with pytest.raises(ConfigurationError):
+            run_holder_scan("sheet", Grid(8, 4, 1.0 / 8, 1.0 / 16), 2.0,
+                            [1.0 / 16, 1.0 / 8, 1.0 / 4], 1, 10)
+
     def test_needs_three_lags(self):
         with pytest.raises(ConfigurationError):
             run_holder_scan("sheet", FIELD_GRID, 2.0, [0.125, 0.25], 100, 10)
@@ -185,6 +191,19 @@ class TestHolderScan:
             run_holder_scan("momentum", FIELD_GRID, 2.0, [0.125, 0.25, 0.5], 64, 11)
 
 
+def poison_path(monkeypatch, stream, path):
+    """Make every normal that `stream` draws for global path `path` a NaN."""
+    draw = lattice.normal_grid
+
+    def poisoned(seed, path_indices, stream_id, *args, **kwargs):
+        z = draw(seed, path_indices, stream_id, *args, **kwargs)
+        if stream_id == stream:
+            z[np.asarray(path_indices) == path] = np.nan
+        return z
+
+    monkeypatch.setattr(lattice, "normal_grid", poisoned)
+
+
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_sample_names_its_global_path(self, workers):
@@ -196,22 +215,19 @@ class TestNonFiniteSamples:
             _run_paired(sample, 4000, 1000, workers)
         assert info.value.path == 2500
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_failure_names_its_global_path(self, workers, monkeypatch):
+        # the second LINE_CHUNK block starts at 16384: path 16390 is its 7th
+        poison_path(monkeypatch, Stream.BOUNDARY_S, 16390)
+        with pytest.raises(NumericsError) as info:
+            run_ibp(linear_1d(), coordinate_payoff(), coordinate_payoff(),
+                    Grid(8, 1, 0.125, 1.0), 16400, 3, workers=workers)
+        assert info.value.path == (16390,)
 
-class TestReportPlumbing:
-    def test_digest_depends_on_inputs(self):
-        f, g = coordinate_payoff(), coordinate_payoff()
-        a = run_ibp(linear_1d(), f, g, GRID, 200, 1)
-        b = run_ibp(linear_1d(), f, g, GRID, 200, 2)
-        assert a.config_digest != b.config_digest
-
-    def test_json_csv_roundtrip(self, tmp_path):
-        from sheetcalc.verify import write_report_csv, write_report_json
-
-        rep = run_ibp(linear_1d(), coordinate_payoff(), coordinate_payoff(), GRID, 200, 1)
-        write_report_json(rep, tmp_path / "r.json")
-        write_report_csv(rep, tmp_path / "r.csv")
-        import json
-
-        loaded = json.loads((tmp_path / "r.json").read_text())
-        assert loaded["lhs_mean"] == rep.lhs_mean
-        assert (tmp_path / "r.csv").read_text().startswith("# sheetcalc-csv v1")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_level_value_names_its_global_path(self, workers, monkeypatch):
+        poison_path(monkeypatch, Stream.CELLS, 16390)
+        with pytest.raises(NumericsError, match="path 16390") as info:
+            run_holder_scan("sheet", Grid(8, 4, 1.0 / 8, 1.0 / 16), 2.0,
+                            [1.0 / 16, 1.0 / 8, 1.0 / 4], 16400, 8, workers=workers)
+        assert info.value.path == 16390
