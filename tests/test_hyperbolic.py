@@ -1,5 +1,19 @@
 """General hyperbolic solver: degeneracies, cross-implementation matches,
-Goursat refinement, companions, blow-up monitoring."""
+Goursat refinement, companions, blow-up monitoring, bitwise solution pins.
+
+The pins in ``golden/hyperbolic_pins.json`` hold the sha256 of every
+`HyperbolicSolution` array for a set of grids, boundary shapes and
+coefficient sets.  A pin changes only on purpose; regenerate the file with
+
+    PYTHONPATH=src python tests/test_hyperbolic.py --update
+
+and record in CHANGES.md which pins moved and why.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +33,7 @@ from sheetcalc.hyperbolic import (
 )
 from sheetcalc.lattice import (
     CellIncrements,
+    Channel,
     Grid,
     NoiseSpec,
     sample_boundary_bm,
@@ -257,3 +272,196 @@ class TestCompanionStructure:
         # p integrates d_s x along each row: p(s, t) = x(s, t) - x(0, t)
         np.testing.assert_allclose(sol.p, sol.x - sol.x[..., 0:1, :, :], atol=1e-12)
         np.testing.assert_allclose(sol.q, sol.x - sol.x[..., :, 0:1, :], atol=1e-12)
+
+
+PINS = Path(__file__).resolve().parent / "golden" / "hyperbolic_pins.json"
+SOLUTION_ARRAYS = ("x", "p", "q", "u", "u_inv", "u_star", "v", "v_inv", "v_star",
+                   "ds_x", "dt_x", "domain_mask", "m_field")
+
+
+def full_d2_coefficients() -> CoefficientSet:
+    """d = n = m = 2 system in which all ten coefficient terms are present."""
+
+    def a1(x, p, q, dw):
+        return dw * (1.0 + 0.1 * np.sin(x)) + 0.05 * q
+
+    def a2(x, p, q, dw, dw2):
+        return 0.3 * dw * dw2 + 0.1 * np.cos(x) * (dw[..., ::-1] * dw2[..., ::-1])
+
+    def b11(x, xi, tau):
+        return 0.2 * np.sin(x) * xi * tau[..., ::-1]
+
+    def b12(x, xi, tau, tau2):
+        return 0.1 * xi * (tau * tau2[..., ::-1] + tau2 * tau[..., ::-1])
+
+    def b21(x, xi, xi2, tau):
+        return 0.1 * np.cos(x) * (xi * xi2) * tau
+
+    def b22(x, xi, xi2, tau, tau2):
+        return 0.05 * (xi * xi2) * (tau * tau2)
+
+    def c1(x, p, q, xi):
+        return np.cos(x) * xi + 0.1 * p
+
+    def c2(x, p, q, xi, xi2):
+        return 0.1 * xi * xi2
+
+    def e1(x, p, q, tau):
+        return np.sin(x) * tau - 0.1 * q
+
+    def e2(x, p, q, tau, tau2):
+        return -0.1 * tau * tau2
+
+    return CoefficientSet(d=2, n=2, m=2, a1=a1, a2=a2, b11=b11, b12=b12, b21=b21,
+                          b22=b22, c1=c1, c2=c2, e1=e1, e2=e2)
+
+
+def _bm_bounds(grid, noise, d, n, batch):
+    """Brownian Goursat data on all four boundary lines (x starts at 0)."""
+    def line(channel, axis, dim):
+        steps, step = (grid.n_s, grid.ds) if axis == "s" else (grid.n_t, grid.dt)
+        return sample_boundary_bm(steps, step, dim, noise, channel=channel, axis=axis,
+                                  batch=batch).values
+
+    return SystemBoundaries(
+        x_s0=line(Channel.X_S0, "s", d),
+        x_0t=line(Channel.X_0T, "t", d),
+        p_0t=line(Channel.P_0T, "t", n),
+        q_s0=line(Channel.Q_S0, "s", n),
+    )
+
+
+def _growth_bounds(grid, scales):
+    """expgrow data x_s0 = c s, x_0t = c t with one scale c per path."""
+    c = np.asarray(scales, dtype=np.float64)[:, None, None]
+    return SystemBoundaries(
+        x_s0=c * grid.s_nodes()[:, None],
+        x_0t=c * grid.t_nodes()[:, None],
+        p_0t=np.zeros((grid.n_t + 1, 1)),
+        q_s0=np.zeros((grid.n_s + 1, 1)),
+    )
+
+
+def _pin_case(name):
+    """(coeffs, boundaries, grid, increments, blowup_M) of one pinned solve."""
+    def bounded(n_s, n_t, n_paths, batched_bounds):
+        grid = Grid(n_s, n_t, 1.0 / n_s, 1.0 / n_t)
+        incs = _incs(grid, 11, n_paths)
+        if batched_bounds:
+            bounds = _bm_bounds(grid, NoiseSpec(11, 0, 1), 1, 1, n_paths)
+        else:
+            bounds = _zero_bounds(grid)
+        return bounded_test_coefficients(), bounds, grid, incs, np.inf
+
+    if name == "bounded1d-7x3":      # S > T, unbatched boundaries
+        return bounded(7, 3, 3, False)
+    if name == "bounded1d-3x7":      # S < T, batched Brownian boundaries
+        return bounded(3, 7, 3, True)
+    if name == "bounded1d-1x1":
+        return bounded(1, 1, 2, True)
+    if name == "bounded1d-1x6":
+        return bounded(1, 6, 2, False)
+    if name == "bounded1d-6x1":
+        return bounded(6, 1, 2, True)
+    if name == "bounded1d-unbatched-5x4":
+        return bounded(5, 4, None, False)
+    if name == "bounded1d-batch-2x2-6x4":
+        # two batch axes; boundaries batched on the first only
+        grid = Grid(6, 4, 1.0 / 6, 0.25)
+        incs = CellIncrements(_incs(grid, 12, 4).values.reshape(2, 2, 6, 4, 1), grid)
+        b = _bm_bounds(grid, NoiseSpec(12, 0, 1), 1, 1, 2)
+        bounds = SystemBoundaries(*(a[:, None] for a in b.arrays()))
+        return bounded_test_coefficients(), bounds, grid, incs, np.inf
+    if name == "ou-d2-8x6":
+        grid = Grid(8, 6, 0.125, 0.125)
+        zb = sample_boundary_bm(8, 0.125, 1, NoiseSpec(13, 0, 1), batch=4)
+        return ou_coefficients(1), ou_system_boundaries(grid, zb), grid, _incs(grid, 13, 4), np.inf
+    if name == "expgrow-frozen-12x10":
+        # growth along both axes; the per-path scale moves the frontier
+        grid = Grid(12, 10, 1.0 / 12, 0.1)
+        bounds = _growth_bounds(grid, [0.5, 1.0, 2.0])
+        return exponential_growth_coefficients(4.0), bounds, grid, _incs(grid, 14, 3), 3.0
+    if name == "full-d2-9x5":
+        grid = Grid(9, 5, 1.0 / 9, 0.2)
+        bounds = _bm_bounds(grid, NoiseSpec(15, 0, 2), 2, 2, 3)
+        return full_d2_coefficients(), bounds, grid, _incs(grid, 15, 3, m=2), np.inf
+    if name == "full-d2-5x9-unbatched-bounds":
+        grid = Grid(5, 9, 0.2, 1.0 / 9)
+        bounds = _bm_bounds(grid, NoiseSpec(16, 0, 2), 2, 2, None)
+        return full_d2_coefficients(), bounds, grid, _incs(grid, 16, 3, m=2), np.inf
+    if name == "full-d2-frozen-7x7":
+        grid = Grid(7, 7, 0.25, 0.25)
+        bounds = _bm_bounds(grid, NoiseSpec(17, 0, 2), 2, 2, 4)
+        return full_d2_coefficients(), bounds, grid, _incs(grid, 17, 4, m=2), 2.9
+    raise KeyError(name)
+
+
+PIN_CASES = (
+    "bounded1d-7x3", "bounded1d-3x7", "bounded1d-1x1", "bounded1d-1x6", "bounded1d-6x1",
+    "bounded1d-unbatched-5x4", "bounded1d-batch-2x2-6x4", "ou-d2-8x6",
+    "expgrow-frozen-12x10", "full-d2-9x5", "full-d2-5x9-unbatched-bounds",
+    "full-d2-frozen-7x7",
+)
+
+
+def _sha(a) -> str:
+    a = np.asarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def solution_digests(name) -> dict:
+    coeffs, bounds, grid, incs, blowup_M = _pin_case(name)
+    sol = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M)
+    return {a: _sha(getattr(sol, a)) for a in SOLUTION_ARRAYS}
+
+
+class TestSolutionPins:
+    @pytest.mark.parametrize("case", PIN_CASES)
+    def test_solution_arrays_match_pins(self, case):
+        assert solution_digests(case) == json.loads(PINS.read_text())[case]
+
+    def test_frozen_cases_freeze_some_nodes(self):
+        # the blow-up cases exercise dead nodes, but not on every node
+        for case in ("expgrow-frozen-12x10", "full-d2-frozen-7x7"):
+            coeffs, bounds, grid, incs, blowup_M = _pin_case(case)
+            mask = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M).domain_mask
+            assert 0 < np.sum(~mask) < mask.size, case
+            assert len({int(np.sum(~m)) for m in mask}) > 1, case
+
+
+class TestFailingNodeOrder:
+    def test_names_the_first_bad_node_in_row_order(self):
+        # NaN cells at path 1 (0, 6) and path 3 (3, 0): the bad node of path 3
+        # lies on an earlier anti-diagonal, but (1, 7) comes first row by row
+        grid = Grid(8, 8, 0.125, 0.125)
+        incs = _incs(grid, 18, 4)
+        incs.values[1, 0, 6, 0] = np.nan
+        incs.values[3, 3, 0, 0] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
+        assert err.value.cell == (1, 7)
+        assert err.value.path == (1,)
+
+    @pytest.mark.parametrize("cell, expected", [((0, 0), (1, 1)), ((0, 1), (2, 0))])
+    def test_axis_node_is_checked_after_its_row_neighbour(self, cell, expected):
+        # node (2, 0) is bad on path 0; a NaN in `cell` of path 1 makes node
+        # cell + (1, 1) bad.  (2, 0) is checked in row 1 right after (1, 1)
+        # and before (1, 2), although (1, 1) and (2, 0) share a diagonal.
+        grid = Grid(4, 4, 0.25, 0.25)
+        incs = _incs(grid, 19, 2)
+        incs.values[(1,) + cell + (0,)] = np.nan
+        bounds = _zero_bounds(grid, batch=(2,))
+        bounds.q_s0[0, 2, 0] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_system(bounded_test_coefficients(), bounds, grid, incs)
+        assert err.value.cell == expected
+        assert err.value.path == ((1,) if expected == (1, 1) else (0,))
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_hyperbolic.py --update")
+    pins = {case: solution_digests(case) for case in PIN_CASES}
+    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} pins to {PINS}")
