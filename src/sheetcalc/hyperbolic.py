@@ -235,61 +235,80 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     )
     eye = np.eye(d)
 
-    x = np.zeros(batch + (S + 1, T + 1, d))
-    p = np.zeros(batch + (S + 1, T + 1, n))
-    q = np.zeros(batch + (S + 1, T + 1, n))
-    u = np.zeros(batch + (S + 1, T + 1, d, d))
+    def line(b):
+        """Boundary (..., k, c) as a node-major (k, *batch, c) view."""
+        return np.moveaxis(np.broadcast_to(b, batch + b.shape[-2:]), -2, 0)
+
+    # Node-major storage: x[i, j] is one contiguous (*batch, d) block.
+    x = np.zeros((S + 1, T + 1) + batch + (d,))
+    p = np.zeros((S + 1, T + 1) + batch + (n,))
+    q = np.zeros((S + 1, T + 1) + batch + (n,))
+    u = np.zeros((S + 1, T + 1) + batch + (d, d))
     u_inv = np.zeros_like(u)
-    u_star = np.zeros(batch + (S + 1, T + 1, d, d, d))
+    u_star = np.zeros((S + 1, T + 1) + batch + (d, d, d))
     v = np.zeros_like(u)
     v_inv = np.zeros_like(u)
     v_star = np.zeros_like(u_star)
-    ds_x = np.zeros(batch + (S, T + 1, d))
-    dt_x = np.zeros(batch + (S + 1, T, d))
-    m_field = np.zeros(batch + (S + 1, T + 1))
-    blown = np.zeros(batch + (S + 1, T + 1), dtype=bool)
+    ds_x = np.zeros((S, T + 1) + batch + (d,))
+    dt_x = np.zeros((S + 1, T) + batch + (d,))
+    m_field = np.zeros((S + 1, T + 1) + batch)
+    blown = np.zeros((S + 1, T + 1) + batch, dtype=bool)
 
-    x[..., :, 0, :] = xb_s
-    x[..., 0, :, :] = xb_t
-    p[..., 0, :, :] = pb
-    q[..., :, 0, :] = qb
-    u[..., 0, 0, :, :] = eye
-    u_inv[..., 0, 0, :, :] = eye
-    v[..., 0, 0, :, :] = eye
-    v_inv[..., 0, 0, :, :] = eye
-    ds_x[..., :, 0, :] = np.diff(xb_s, axis=-2)
-    dt_x[..., 0, :, :] = np.diff(xb_t, axis=-2)
-    m_field[..., 0, 0] = _tuple_norm(
-        u[..., 0, 0, :, :], u_inv[..., 0, 0, :, :], v[..., 0, 0, :, :], v_inv[..., 0, 0, :, :]
-    )
+    x[:, 0] = line(xb_s)
+    x[0, :] = line(xb_t)
+    p[0, :] = line(pb)
+    q[:, 0] = line(qb)
+    u[0, 0] = eye
+    u_inv[0, 0] = eye
+    v[0, 0] = eye
+    v_inv[0, 0] = eye
+    ds_x[:, 0] = line(np.diff(xb_s, axis=-2))
+    dt_x[0, :] = line(np.diff(xb_t, axis=-2))
+    m_field[0, 0] = _tuple_norm(u[0, 0], u_inv[0, 0], v[0, 0], v_inv[0, 0])
     if not np.isinf(blowup_M):
-        blown[..., 0, 0] = m_field[..., 0, 0] > blowup_M
+        blown[0, 0] = m_field[0, 0] > blowup_M
+    # a view: a contiguous node-major copy of w would cost its full size
+    w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
 
     ctx = _SweepContext(coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,
                         ds_x, dt_x, m_field, blown, w, blowup_M, eye)
-    # s-major lexicographic order; the trailing s-updates keep the top row's
-    # one-parameter lines one block ahead of the nodes that read them.
+    # Anti-diagonal wavefront: node (i, j) depends only on (i-1, j), (i, j-1)
+    # and (i-1, j-1), so step k advances every node on diagonal i + j = k.
     # Overflow to inf is monitored semantics (caught by the mask or raised
     # as NumericsError), so the low-level warnings stay silent.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(S):
-            for j in range(T):
-                ctx.t_updates(i, j)
-                ctx.s_updates(i, j)
-                ctx.advance_x(i, j)
-            ctx.s_updates(i, T)
-        for j in range(T):
-            ctx.t_updates(S, j)
+        for k in range(S + T):
+            ctx.diagonal(k)
+            if ctx.bad and k + 1 >= min(b[0][0] for b in ctx.bad) + T:
+                break  # every node checked before the first bad one is done
+    if ctx.bad:
+        _, cell, path = min(ctx.bad)
+        raise NumericsError(f"non-finite value in-domain at node {cell}", cell=cell, path=path)
+
+    def batch_first(a, trail):
+        return np.moveaxis(a, (0, 1), (a.ndim - trail - 2, a.ndim - trail - 1))
 
     return HyperbolicSolution(
-        x=x, p=p, q=q, u=u, u_inv=u_inv, u_star=u_star, v=v, v_inv=v_inv,
-        v_star=v_star, ds_x=ds_x, dt_x=dt_x, domain_mask=~blown, m_field=m_field,
+        x=batch_first(x, 1), p=batch_first(p, 1), q=batch_first(q, 1),
+        u=batch_first(u, 2), u_inv=batch_first(u_inv, 2), u_star=batch_first(u_star, 3),
+        v=batch_first(v, 2), v_inv=batch_first(v_inv, 2), v_star=batch_first(v_star, 3),
+        ds_x=batch_first(ds_x, 1), dt_x=batch_first(dt_x, 1),
+        domain_mask=batch_first(~blown, 0), m_field=batch_first(m_field, 0),
         grid=grid, blowup_M=blowup_M,
     )
 
 
 class _SweepContext:
-    """Mutable state of one sweep; update methods are called per lattice cell."""
+    """Mutable node-major state of one sweep, advanced one anti-diagonal at a
+    time.  Index arrays (i, j) address the nodes of a diagonal; every node's
+    arithmetic is the same as in a cell-by-cell sweep.
+
+    `bad` collects (order key, cell, path) of in-domain non-finite nodes.  A
+    cell-by-cell sweep in s-major order checks node (a, b >= 1) in row a at
+    cell b - 1, and node (a + 1, 0) in row a just after node (a, 1); the key
+    (row, cell, slot) encodes that order, so the smallest key is the node
+    such a sweep would name.
+    """
 
     def __init__(self, coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,
                  ds_x, dt_x, m_field, blown, w, blowup_M, eye):
@@ -302,22 +321,40 @@ class _SweepContext:
         self.w = w
         self.M = blowup_M
         self.eye = eye
+        self.S, self.T = ds_x.shape[0], dt_x.shape[1]
+        self.bad = []
 
-    def _state(self, i, j):
-        """State at the cell's lower-left node, zeroed on dead paths so that
-        coefficient callbacks never see frozen garbage."""
-        dead = self.blown[..., i, j, None]
-        xs = np.where(dead, 0.0, self.x[..., i, j, :])
-        ps = np.where(dead, 0.0, self.p[..., i, j, :])
-        qs = np.where(dead, 0.0, self.q[..., i, j, :])
-        return dead, xs, ps, qs
+    def diagonal(self, k):
+        """From the nodes (i, k - i): s-steps (i < S), then t-steps (k - i < T),
+        then the x update of cells (i < S, k - i < T)."""
+        S, T = self.S, self.T
+        i = np.arange(max(0, k - T), min(S, k) + 1)
+        j = k - i
+        # nodes on the top edge j = T take no t-step; on i = S no s-step
+        lo = 1 if j[0] == T else 0
+        hi = len(i) - 1 if i[-1] == S else len(i)
+        # state at each node, zeroed on dead paths so that coefficient
+        # callbacks never see frozen garbage
+        dead = self.blown[i, j][..., None]
+        xs = np.where(dead, 0.0, self.x[i, j])
+        ps = np.where(dead, 0.0, self.p[i, j])
+        qs = np.where(dead, 0.0, self.q[i, j])
+        s_state = (i[:hi], j[:hi], dead[:hi], xs[:hi], ps[:hi], qs[:hi])
+        t_state = (i[lo:], j[lo:], dead[lo:], xs[lo:], ps[lo:], qs[lo:])
+        dsx = self.ds_x[i[:hi], j[:hi]]
+        dtx = self.dt_x[i[lo:], j[lo:]]
+        xi = np.where(dead[:hi], 0.0, dsx)
+        tau = np.where(dead[lo:], 0.0, dtx)
+        self._s_steps(*s_state, xi)
+        self._t_steps(*t_state, tau)
+        if lo < hi:
+            cell = slice(lo, hi)
+            self._advance_x(i[cell], j[cell], dead[cell], xs[cell], ps[cell], qs[cell],
+                            dsx[lo:], xi[lo:], dtx[:hi - lo], tau[:hi - lo])
 
-    def advance_x(self, i, j):
+    def _advance_x(self, i, j, dead, xs, ps, qs, dsx, xi, dtx, tau):
         c = self.c
-        dead, xs, ps, qs = self._state(i, j)
-        xi = np.where(dead, 0.0, self.ds_x[..., i, j, :])
-        tau = np.where(dead, 0.0, self.dt_x[..., i, j, :])
-        dw = self.w[..., i, j, :]
+        dw = self.w[i, j]
         delta = np.zeros_like(xi)
         if c.a1 is not None:
             delta = delta + c.a1(xs, ps, qs, dw)
@@ -331,30 +368,25 @@ class _SweepContext:
             delta = delta + c.b21(xs, xi, xi, tau)
         if c.b22 is not None:
             delta = delta + c.b22(xs, xi, xi, tau, tau)
-        new_dsx = self.ds_x[..., i, j, :] + delta
-        new_dtx = self.dt_x[..., i, j, :] + delta
-        self.ds_x[..., i, j + 1, :] = np.where(dead, 0.0, new_dsx)
-        self.dt_x[..., i + 1, j, :] = np.where(dead, 0.0, new_dtx)
-        self.x[..., i + 1, j + 1, :] = np.where(
-            dead, self.x[..., i, j, :], self.x[..., i, j + 1, :] + new_dsx
-        )
+        new_dsx = dsx + delta
+        new_dtx = dtx + delta
+        self.ds_x[i, j + 1] = np.where(dead, 0.0, new_dsx)
+        self.dt_x[i + 1, j] = np.where(dead, 0.0, new_dtx)
+        self.x[i + 1, j + 1] = np.where(dead, self.x[i, j], self.x[i, j + 1] + new_dsx)
 
-    def s_updates(self, i, j):
-        """p, u, u^{-1}, u* advance from node (i, j) to (i+1, j)."""
+    def _s_steps(self, i, j, dead, xs, ps, qs, xi):
+        """p, u, u^{-1}, u* advance from nodes (i, j) to (i+1, j)."""
         c = self.c
-        dead, xs, ps, qs = self._state(i, j)
-        xi = np.where(dead, 0.0, self.ds_x[..., i, j, :])
         dp = np.zeros_like(ps)
         if c.c1 is not None:
             dp = dp + c.c1(xs, ps, qs, xi)
         if c.c2 is not None:
             dp = dp + c.c2(xs, ps, qs, xi, xi)
-        self.p[..., i + 1, j, :] = np.where(
-            dead, self.p[..., i, j, :], self.p[..., i, j, :] + dp
-        )
+        pk = self.p[i, j]
+        self.p[i + 1, j] = np.where(dead, pk, pk + dp)
 
-        uk = self.u[..., i, j, :, :]
-        uik = self.u_inv[..., i, j, :, :]
+        uk = self.u[i, j]
+        uik = self.u_inv[i, j]
         x_b = xs[..., None, :]
         xi_b = xi[..., None, :]
         basis = self.eye + np.zeros_like(uk)
@@ -366,10 +398,10 @@ class _SweepContext:
         new_u = uk + G @ uk
         new_ui = uik @ (self.eye - G + G @ G)
         dead_m = dead[..., None]
-        self.u[..., i + 1, j, :, :] = np.where(dead_m, uk, new_u)
-        self.u_inv[..., i + 1, j, :, :] = np.where(dead_m, uik, new_ui)
+        self.u[i + 1, j] = np.where(dead_m, uk, new_u)
+        self.u_inv[i + 1, j] = np.where(dead_m, uik, new_ui)
 
-        ustar_k = self.u_star[..., i, j, :, :, :]
+        ustar_k = self.u_star[i, j]
         if c.b12 is not None or c.b22 is not None:
             ucols = np.swapaxes(uk, -1, -2)
             t1 = ucols[..., :, None, :]
@@ -388,30 +420,28 @@ class _SweepContext:
             new_us = ustar_k + np.einsum("...ab,...jkb->...ajk", uik, brace)
         else:
             new_us = ustar_k
-        self.u_star[..., i + 1, j, :, :, :] = np.where(dead_m[..., None], ustar_k, new_us)
+        self.u_star[i + 1, j] = np.where(dead_m[..., None], ustar_k, new_us)
 
-        if j == 0:
+        if j[-1] == 0:
             # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
-            self.v[..., i + 1, 0, :, :] = self.u[..., i + 1, 0, :, :]
-            self.v_inv[..., i + 1, 0, :, :] = self.u_inv[..., i + 1, 0, :, :]
-            self._complete_node(i + 1, 0, pred_i=i, pred_j=None)
+            a = i[-1:] + 1
+            self.v[a, 0] = self.u[a, 0]
+            self.v_inv[a, 0] = self.u_inv[a, 0]
+            self._complete(a, j[-1:], s_pred=slice(None), t_pred=False)
 
-    def t_updates(self, i, j):
-        """q, v, v^{-1}, v* advance from node (i, j) to (i, j+1)."""
+    def _t_steps(self, i, j, dead, xs, ps, qs, tau):
+        """q, v, v^{-1}, v* advance from nodes (i, j) to (i, j+1)."""
         c = self.c
-        dead, xs, ps, qs = self._state(i, j)
-        tau = np.where(dead, 0.0, self.dt_x[..., i, j, :])
         dq = np.zeros_like(qs)
         if c.e1 is not None:
             dq = dq + c.e1(xs, ps, qs, tau)
         if c.e2 is not None:
             dq = dq + c.e2(xs, ps, qs, tau, tau)
-        self.q[..., i, j + 1, :] = np.where(
-            dead, self.q[..., i, j, :], self.q[..., i, j, :] + dq
-        )
+        qk = self.q[i, j]
+        self.q[i, j + 1] = np.where(dead, qk, qk + dq)
 
-        vk = self.v[..., i, j, :, :]
-        vik = self.v_inv[..., i, j, :, :]
+        vk = self.v[i, j]
+        vik = self.v_inv[i, j]
         x_b = xs[..., None, :]
         tau_b = tau[..., None, :]
         basis = self.eye + np.zeros_like(vk)
@@ -423,10 +453,10 @@ class _SweepContext:
         new_v = vk + G @ vk
         new_vi = vik @ (self.eye - G + G @ G)
         dead_m = dead[..., None]
-        self.v[..., i, j + 1, :, :] = np.where(dead_m, vk, new_v)
-        self.v_inv[..., i, j + 1, :, :] = np.where(dead_m, vik, new_vi)
+        self.v[i, j + 1] = np.where(dead_m, vk, new_v)
+        self.v_inv[i, j + 1] = np.where(dead_m, vik, new_vi)
 
-        vstar_k = self.v_star[..., i, j, :, :, :]
+        vstar_k = self.v_star[i, j]
         if c.b21 is not None or c.b22 is not None:
             vcols = np.swapaxes(vk, -1, -2)
             s1 = vcols[..., :, None, :]
@@ -445,50 +475,48 @@ class _SweepContext:
             new_vs = vstar_k + np.einsum("...ab,...jkb->...ajk", vik, brace)
         else:
             new_vs = vstar_k
-        self.v_star[..., i, j + 1, :, :, :] = np.where(dead_m[..., None], vstar_k, new_vs)
+        self.v_star[i, j + 1] = np.where(dead_m[..., None], vstar_k, new_vs)
 
-        if i == 0:
+        on_axis = i[0] == 0
+        if on_axis:
             # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
-            self.u[..., 0, j + 1, :, :] = self.v[..., 0, j + 1, :, :]
-            self.u_inv[..., 0, j + 1, :, :] = self.v_inv[..., 0, j + 1, :, :]
-        self._complete_node(i, j + 1, pred_i=i - 1 if i else None, pred_j=j)
+            self.u[0, j[0] + 1] = self.v[0, j[0] + 1]
+            self.u_inv[0, j[0] + 1] = self.v_inv[0, j[0] + 1]
+        self._complete(i, j + 1, s_pred=slice(1 if on_axis else 0, None), t_pred=True)
 
-    def _complete_node(self, a, b, pred_i, pred_j):
-        """Both u and v now exist at node (a, b): update m, mask, finiteness."""
-        norm = _tuple_norm(
-            self.u[..., a, b, :, :], self.u_inv[..., a, b, :, :],
-            self.v[..., a, b, :, :], self.v_inv[..., a, b, :, :],
-        )
-        run = norm
-        if pred_i is not None:
-            run = np.maximum(run, self.m_field[..., pred_i, b])
-        if pred_j is not None:
-            run = np.maximum(run, self.m_field[..., a, pred_j])
-        self.m_field[..., a, b] = run
+    def _complete(self, a, b, s_pred, t_pred):
+        """Both u and v now exist at nodes (a, b): update m, mask, finiteness.
+
+        s_pred selects the nodes that have an s-predecessor (a - 1, b); with
+        t_pred every node has a t-predecessor (a, b - 1).
+        """
+        run = _tuple_norm(self.u[a, b], self.u_inv[a, b], self.v[a, b], self.v_inv[a, b])
         prev = np.zeros(run.shape, dtype=bool)
-        if pred_i is not None:
-            prev = prev | self.blown[..., pred_i, b]
-        if pred_j is not None:
-            prev = prev | self.blown[..., a, pred_j]
+        pa, pb = a[s_pred] - 1, b[s_pred]
+        run[s_pred] = np.maximum(run[s_pred], self.m_field[pa, pb])
+        prev[s_pred] |= self.blown[pa, pb]
+        if t_pred:
+            run = np.maximum(run, self.m_field[a, b - 1])
+            prev |= self.blown[a, b - 1]
+        self.m_field[a, b] = run
         if np.isinf(self.M):
             newly = np.zeros_like(prev)
         else:
             with np.errstate(invalid="ignore"):
                 newly = ~(run <= self.M)  # NaN norms count as blown
-        self.blown[..., a, b] = newly | prev
-        live = ~self.blown[..., a, b]
+        blown = newly | prev
+        self.blown[a, b] = blown
+        live = ~blown
         if np.any(live):
             finite = np.isfinite(run)
-            for arr in (self.x[..., a, b, :], self.p[..., a, b, :], self.q[..., a, b, :]):
+            for arr in (self.x[a, b], self.p[a, b], self.q[a, b]):
                 finite = finite & np.all(np.isfinite(arr), axis=-1)
             bad = live & ~finite
-            if np.any(bad):
-                where = np.argwhere(bad)
-                raise NumericsError(
-                    f"non-finite value in-domain at node ({a}, {b})",
-                    cell=(a, b),
-                    path=tuple(int(k) for k in where[0]),
-                )
+            for node in np.flatnonzero(bad.reshape(len(a), -1).any(axis=1)):
+                na, nb = int(a[node]), int(b[node])
+                key = (na - 1, 0, 1) if nb == 0 else (na, nb - 1, 0)
+                path = tuple(int(k) for k in np.argwhere(bad[node])[0])
+                self.bad.append((key, (na, nb), path))
 
 
 def blowup_monitor(sol: HyperbolicSolution) -> BlowupSummary:
