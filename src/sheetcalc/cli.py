@@ -122,12 +122,7 @@ def _system_boundaries(name, coeffs, grid, seed, n_paths):
             p_0t=np.zeros((grid.n_t + 1, 1)),
             q_s0=np.zeros((grid.n_s + 1, 1)),
         )
-    return SystemBoundaries(
-        x_s0=np.zeros((grid.n_s + 1, coeffs.d)),
-        x_0t=np.zeros((grid.n_t + 1, coeffs.d)),
-        p_0t=np.zeros((grid.n_t + 1, coeffs.n)),
-        q_s0=np.zeros((grid.n_s + 1, coeffs.n)),
-    )
+    return SystemBoundaries.zero(grid, coeffs)
 
 
 def _cmd_solve_hyperbolic(cfg):

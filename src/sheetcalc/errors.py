@@ -20,8 +20,9 @@ class ModelError(SheetcalcError):
 class NumericsError(SheetcalcError):
     """Non-finite value produced inside the solution domain.
 
-    Carries the lattice cell (and path, for batched solves) where the
-    failure was first detected.
+    Carries the lattice cell where the failure was first detected and, for
+    batched work, the path as a tuple of batch indices (the block runner in
+    `verify` rebases the leading index to the global path).
     """
 
     def __init__(self, message, cell=None, path=None):

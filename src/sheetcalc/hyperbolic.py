@@ -5,9 +5,9 @@ The mixed equation
     dd x = a1(dw) + a2(dw, dw) + b11(dsx, dtx) + b12(dsx, dtx, dtx)
                   + b21(dsx, dsx, dtx) + b22(dsx, dsx, dtx, dtx)
 
-is swept cell by cell with previsible (lower-left) state evaluation and raw
-increment products for the quadratic terms.  One-parameter companions ride
-along every line:
+is solved with previsible (lower-left) state evaluation and raw increment
+products for the quadratic terms.  One-parameter companions ride along
+every line:
 
     p:  d_s p = c1(dsx) + c2(dsx, dsx)          q:  d_t q = e1(dtx) + e2(dtx, dtx)
     u:  d_s u = [b11(dsx, .) + b21(dsx, dsx, .)] u
@@ -31,6 +31,20 @@ Blow-up: m = running sup of the Frobenius norm of the concatenated tuple
 (u, u^{-1}, v, v^{-1}); nodes whose m exceeds blowup_M freeze at their last
 in-domain value and drop out of the domain mask, which stays an initial
 open set by construction.
+
+Sweep order and storage: node (i, j) depends only on (i-1, j), (i, j-1) and
+(i-1, j-1), so the sweep advances one anti-diagonal i + j = k at a time
+(Lamport's hyperplane method), S + T steps for an S x T grid, each over
+every node of the diagonal at once.  Every node's arithmetic is that of a
+cell-by-cell sweep, so the results do not depend on the order.  The state is
+stored node-major, (S+1, T+1, *batch, ...), so that each node's values for
+all paths are one contiguous block; the solution exposes batch-first views.
+
+Failing node: a non-finite value at an in-domain node raises NumericsError
+naming the node (cell) and the first bad path in it (a tuple of batch
+indices).  When several nodes are bad, the one named is the first in the
+order of an s-major cell-by-cell sweep, which checks node (a, b >= 1) in row
+a at cell b - 1, and node (a + 1, 0) in row a just after node (a, 1).
 """
 
 from __future__ import annotations
@@ -135,6 +149,16 @@ class SystemBoundaries:
         return (self._vals(self.x_s0), self._vals(self.x_0t),
                 self._vals(self.p_0t), self._vals(self.q_s0))
 
+    @classmethod
+    def zero(cls, grid: Grid, coeffs: CoefficientSet) -> "SystemBoundaries":
+        """Zero data on every line, unbatched: the sweep broadcasts it."""
+        return cls(
+            x_s0=np.zeros((grid.n_s + 1, coeffs.d)),
+            x_0t=np.zeros((grid.n_t + 1, coeffs.d)),
+            p_0t=np.zeros((grid.n_t + 1, coeffs.n)),
+            q_s0=np.zeros((grid.n_s + 1, coeffs.n)),
+        )
+
 
 @dataclass
 class HyperbolicSolution:
@@ -196,7 +220,7 @@ def solve_system(
     blowup_M: float = np.inf,
     check_transpose: bool = False,
 ) -> HyperbolicSolution:
-    """Explicit lexicographic cell sweep of the full system with companions.
+    """Explicit anti-diagonal sweep of the full system with companions.
 
     All boundary/increment arrays may carry leading batch axes (paths).
     check_transpose reconstructs the field from the stored t-increments
@@ -279,8 +303,10 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(S + T):
             ctx.diagonal(k)
+            # the nodes a cell sweep checks in rows <= r lie on diagonals
+            # <= r + T: once those are done, no earlier bad node can appear
             if ctx.bad and k + 1 >= min(b[0][0] for b in ctx.bad) + T:
-                break  # every node checked before the first bad one is done
+                break
     if ctx.bad:
         _, cell, path = min(ctx.bad)
         raise NumericsError(f"non-finite value in-domain at node {cell}", cell=cell, path=path)
@@ -300,14 +326,11 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
 
 class _SweepContext:
     """Mutable node-major state of one sweep, advanced one anti-diagonal at a
-    time.  Index arrays (i, j) address the nodes of a diagonal; every node's
-    arithmetic is the same as in a cell-by-cell sweep.
+    time; index arrays (i, j) address the nodes of a diagonal.
 
-    `bad` collects (order key, cell, path) of in-domain non-finite nodes.  A
-    cell-by-cell sweep in s-major order checks node (a, b >= 1) in row a at
-    cell b - 1, and node (a + 1, 0) in row a just after node (a, 1); the key
-    (row, cell, slot) encodes that order, so the smallest key is the node
-    such a sweep would name.
+    `bad` collects (key, cell, path) of in-domain non-finite nodes.  The key
+    (row, cell, slot) is where an s-major cell-by-cell sweep checks the node
+    (see the module docstring), so the smallest key is the node it names.
     """
 
     def __init__(self, coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,

@@ -103,41 +103,35 @@ class HolderReport:
         }
 
 
-def _check_finite(start, *samples):
-    """Raise NumericsError at the first path where any per-path sample is
-    non-finite; the block of samples begins at global path index `start`."""
+def _check_finite(*samples):
+    """Raise NumericsError at the first path of a block where any per-path
+    sample is non-finite (a block-local index, rebased by `_map_blocks`)."""
     bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(s) for s in samples]))
     if bad.size:
-        path = start + int(bad[0])
-        raise NumericsError(f"non-finite sample at path {path}", path=path)
+        raise NumericsError("non-finite per-path sample", path=(int(bad[0]),))
 
 
 class _PairedSums:
-    """Blockwise moment accumulation for one or more paired samples."""
+    """Blockwise moment accumulation for one paired sample."""
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.n = 0
-        self.sums = np.zeros((width, 5))  # sum_l, sum_r, sum_ll, sum_rr, sum_d2
+        self.sums = np.zeros(5)  # sum_l, sum_r, sum_ll, sum_rr, sum_d2
 
-    def add(self, cols, start):
-        """cols: list of (l_array, r_array) pairs, one per tracked column,
-        for the block of paths that begins at global path index `start`."""
-        for k, (l, r) in enumerate(cols):
-            _check_finite(start, l, r)
-            d = l - r
-            self.sums[k] += (
-                np.sum(l), np.sum(r), np.sum(l * l), np.sum(r * r), np.sum(d * d)
-            )
-        self.n += cols[0][0].shape[0]
+    def add(self, l, r):
+        """l, r: the per-path samples of both sides for one block of paths."""
+        _check_finite(l, r)
+        d = l - r
+        self.sums += (np.sum(l), np.sum(r), np.sum(l * l), np.sum(r * r), np.sum(d * d))
+        self.n += l.shape[0]
 
     def merge(self, other):
         self.sums += other.sums
         self.n += other.n
 
-    def stats(self, k=0):
+    def stats(self):
         n = self.n
-        sl, sr, sll, srr, sdd = self.sums[k]
+        sl, sr, sll, srr, sdd = self.sums
         ml = sl / n
         mr = sr / n
         var_l = max(0.0, (sll - n * ml * ml) / (n - 1))
@@ -156,8 +150,8 @@ def _map_blocks(block_fn, n_paths, chunk, workers):
     on `workers` threads; returns the partials in block order.  Every
     estimate needs a sample variance, so at least two paths are required.
 
-    Solvers name a failing path by its index in the block's arrays; a
-    NumericsError carrying such a tuple is rebased to the global path.
+    A NumericsError names a failing path as a tuple of batch indices in
+    the block's arrays; its leading index is rebased to the global path.
     """
     if n_paths < 2:
         raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
@@ -168,7 +162,7 @@ def _map_blocks(block_fn, n_paths, chunk, workers):
         try:
             return block_fn(start, count)
         except NumericsError as exc:
-            if isinstance(exc.path, tuple) and exc.path:
+            if exc.path:
                 exc.path = (start + exc.path[0],) + exc.path[1:]
             raise
 
@@ -178,15 +172,16 @@ def _map_blocks(block_fn, n_paths, chunk, workers):
     return [one(b) for b in blocks]
 
 
-def _run_paired(sample_fn, n_paths, chunk, workers, width=1):
-    """Evaluate sample_fn(start, count) over fixed blocks; merge in order."""
+def _run_paired(sample_fn, n_paths, chunk, workers):
+    """Evaluate sample_fn(start, count) -> (lhs, rhs) over fixed blocks;
+    merge in order."""
 
     def block(start, count):
-        acc = _PairedSums(width)
-        acc.add(sample_fn(start, count), start)
+        acc = _PairedSums()
+        acc.add(*sample_fn(start, count))
         return acc
 
-    total = _PairedSums(width)
+    total = _PairedSums()
     for part in _map_blocks(block, n_paths, chunk, workers):
         total.merge(part)  # fixed block order: reports are worker-invariant
     return total
@@ -229,7 +224,7 @@ def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: in
         gg = payoff_g.grad_f(xk)
         lhs = np.einsum("pa,pab,pb->p", gf, state.Gamma[:, k, :, :], gg)
         rhs = -payoff_f.f(xk) * apply_L(payoff_g, state, k)
-        return [(lhs, rhs)]
+        return lhs, rhs
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
     return _report(total, n_paths, workers, {"fault": fault})
@@ -250,7 +245,7 @@ def run_bismut(model: Model, payoff_f, grid: Grid, n_paths: int, seed: int,
         gf = payoff_f.grad_f(xk)
         lhs_vec = np.einsum("pa,pab,pbc->pc", gf, state.U[:, k], state.C[:, k])
         rhs_vec = -payoff_f.f(xk)[:, None] * state.R[:, k, :]
-        return [(lhs_vec[:, component], rhs_vec[:, component])]
+        return lhs_vec[:, component], rhs_vec[:, component]
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
     return _report(total, n_paths, workers)
@@ -273,7 +268,7 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
         Gp = payoff_g.f(xg_line[:, k, :])
         lhs = (Fp - F) * (Gp - G)
         rhs = -2.0 * F * (Gp - G)
-        return [(lhs, rhs)]
+        return lhs, rhs
 
     total = _run_paired(sample, n_paths, FIELD_CHUNK, workers)
     return _report(total, n_paths, workers, {"t_gap": t_gap})
@@ -320,7 +315,7 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
             Fp = payoff_f.f(xg[:, k, :])
             Gp = payoff_g.f(xg[:, k, :])
             extrap = extrap + wgt * ((Fp - F) * (Gp - G) / gap)
-        return [(extrap, carre)]
+        return extrap, carre
 
     total = _run_paired(sample, n_paths, FIELD_CHUNK, workers)
     return _report(total, n_paths, workers, {"t_gaps": gaps})
@@ -390,19 +385,13 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
         # target == "p": general hyperbolic sweep with zero boundary data
         spec = NoiseSpec(seed, start, coeffs.m)
         incs = CellIncrements(sample_cell_increments_batch(grid, spec, count), grid)
-        bounds = SystemBoundaries(
-            x_s0=np.zeros((count, grid.n_s + 1, coeffs.d)),
-            x_0t=np.zeros((count, grid.n_t + 1, coeffs.d)),
-            p_0t=np.zeros((count, grid.n_t + 1, coeffs.n)),
-            q_s0=np.zeros((count, grid.n_s + 1, coeffs.n)),
-        )
-        sol = solve_system(coeffs, bounds, grid, incs)
+        sol = solve_system(coeffs, SystemBoundaries.zero(grid, coeffs), grid, incs)
         return [sol.p[:, k, 0, 0]] + [sol.p[:, k, j, 0] for j in j_lags]
 
     def block(start, count):
         vals = level_values(start, count)
         samples = [np.abs(v - vals[0]) ** alpha for v in vals[1:]]
-        _check_finite(start, *samples)
+        _check_finite(*samples)
         acc = _MomentSums(len(lags))
         acc.add(np.stack(samples, axis=-1))
         return acc

@@ -96,7 +96,7 @@ class TestRunCommands:
         monkeypatch.setattr("sheetcalc.verify.apply_L", nan_at_path_7)
         cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
         assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
-        assert "path=7" in capsys.readouterr().err
+        assert "path=(7,)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_nonfinite_level_value_exits_3_without_report(self, tmp_path, monkeypatch, capsys):
@@ -115,7 +115,7 @@ class TestRunCommands:
         cfg["run"] = {"command": "holder-scan", "target": "sheet",
                       "lags": [1.0 / 16, 1.0 / 8, 1.0 / 4]}
         assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
-        assert "path=7" in capsys.readouterr().err
+        assert "path=(7,)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_simulate_sheet_probes(self, tmp_path):

@@ -209,11 +209,11 @@ class TestNonFiniteSamples:
     def test_nan_sample_names_its_global_path(self, workers):
         def sample(start, count):
             paths = np.arange(start, start + count)
-            return [(paths.astype(float), np.where(paths == 2500, np.nan, 0.0))]
+            return paths.astype(float), np.where(paths == 2500, np.nan, 0.0)
 
-        with pytest.raises(NumericsError, match="path 2500") as info:
+        with pytest.raises(NumericsError, match="non-finite per-path sample") as info:
             _run_paired(sample, 4000, 1000, workers)
-        assert info.value.path == 2500
+        assert info.value.path == (2500,)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_failure_names_its_global_path(self, workers, monkeypatch):
@@ -227,7 +227,7 @@ class TestNonFiniteSamples:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_level_value_names_its_global_path(self, workers, monkeypatch):
         poison_path(monkeypatch, Stream.CELLS, 16390)
-        with pytest.raises(NumericsError, match="path 16390") as info:
+        with pytest.raises(NumericsError, match="non-finite per-path sample") as info:
             run_holder_scan("sheet", Grid(8, 4, 1.0 / 8, 1.0 / 16), 2.0,
                             [1.0 / 16, 1.0 / 8, 1.0 / 4], 16400, 8, workers=workers)
-        assert info.value.path == 16390
+        assert info.value.path == (16390,)
