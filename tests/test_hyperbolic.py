@@ -444,6 +444,19 @@ class TestFailingNodeOrder:
         assert err.value.cell == (1, 7)
         assert err.value.path == (1,)
 
+    def test_finds_an_earlier_bad_node_on_a_late_diagonal(self):
+        # node (5, 1) of path 1 goes bad on diagonal 6; node (4, 8) of path 0,
+        # earlier row by row, only on diagonal 12, the last one that can hold
+        # a node checked before row 5
+        grid = Grid(8, 8, 0.125, 0.125)
+        incs = _incs(grid, 18, 2)
+        incs.values[0, 3, 7, 0] = np.nan
+        incs.values[1, 4, 0, 0] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
+        assert err.value.cell == (4, 8)
+        assert err.value.path == (0,)
+
     @pytest.mark.parametrize("cell, expected", [((0, 0), (1, 1)), ((0, 1), (2, 0))])
     def test_axis_node_is_checked_after_its_row_neighbour(self, cell, expected):
         # node (2, 0) is bad on path 0; a NaN in `cell` of path 1 makes node
