@@ -43,8 +43,9 @@ all paths are one contiguous block; the solution exposes batch-first views.
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
 indices).  When several nodes are bad, the one named is the first in the
-order of an s-major cell-by-cell sweep, which checks node (a, b >= 1) in row
-a at cell b - 1, and node (a + 1, 0) in row a just after node (a, 1).
+order of an s-major cell-by-cell sweep, which checks the corner (0, 0)
+first, node (a, b >= 1) in row a at cell b - 1, and node (a + 1, 0) in row a
+just after node (a, 1).
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ class CoefficientSet:
 
     b-callbacks take only x by construction.  Coefficients quadratic in a
     repeated differential must be symmetric in it; this is probed on build.
-    bound/lipschitz are caller declarations recorded for diagnostics, not
-    verified at runtime.
     """
 
     d: int
@@ -95,8 +94,6 @@ class CoefficientSet:
     c2: Optional[Callable] = None
     e1: Optional[Callable] = None
     e2: Optional[Callable] = None
-    bound: float = np.inf
-    lipschitz: float = np.inf
     probe_scale: float = 1.0
 
     def __post_init__(self):
@@ -251,7 +248,7 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     if pb.shape[-2] != T + 1 or qb.shape[-2] != S + 1:
         raise ShapeError("p/q boundary lengths do not match the grid")
     ca, cb = np.broadcast_arrays(xb_s[..., 0, :], xb_t[..., 0, :])
-    if not np.array_equal(ca, cb):
+    if not np.array_equal(ca, cb, equal_nan=True):
         raise ConfigurationError("corner inconsistency: x_s0[0] differs from x_0t[0]")
 
     batch = np.broadcast_shapes(
@@ -288,14 +285,14 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     v_inv[0, 0] = eye
     ds_x[:, 0] = line(np.diff(xb_s, axis=-2))
     dt_x[0, :] = line(np.diff(xb_t, axis=-2))
-    m_field[0, 0] = _tuple_norm(u[0, 0], u_inv[0, 0], v[0, 0], v_inv[0, 0])
-    if not np.isinf(blowup_M):
-        blown[0, 0] = m_field[0, 0] > blowup_M
     # a view: a contiguous node-major copy of w would cost its full size
     w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
 
     ctx = _SweepContext(coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,
                         ds_x, dt_x, m_field, blown, w, blowup_M, eye)
+    # the corner has no predecessor; its key sorts before every other node's
+    corner = np.zeros(1, dtype=int)
+    ctx._complete(corner, corner, s_pred=slice(0), t_pred=False)
     # Anti-diagonal wavefront: node (i, j) depends only on (i-1, j), (i, j-1)
     # and (i-1, j-1), so step k advances every node on diagonal i + j = k.
     # Overflow to inf is monitored semantics (caught by the mask or raised
@@ -633,10 +630,7 @@ def bounded_test_coefficients(lam=0.5, mu=1.0) -> CoefficientSet:
     def e1(x, p, q, tau):
         return mu * np.cos(x) * tau
 
-    return CoefficientSet(
-        d=1, n=1, m=1, a1=a1, b11=b11, c1=c1, e1=e1,
-        bound=max(1.0, lam, mu), lipschitz=max(lam, mu),
-    )
+    return CoefficientSet(d=1, n=1, m=1, a1=a1, b11=b11, c1=c1, e1=e1)
 
 
 def exponential_growth_coefficients(lam=1.0) -> CoefficientSet:

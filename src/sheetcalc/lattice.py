@@ -134,15 +134,14 @@ class BoundaryPath:
 
     values: np.ndarray
     step: float
-    kind: str = "brownian"
 
     @classmethod
     def zero(cls, n: int, step: float, dim: int, batch: tuple = ()):
-        return cls(np.zeros(batch + (n + 1, dim)), step, kind="zero")
+        return cls(np.zeros(batch + (n + 1, dim)), step)
 
     @classmethod
     def deterministic(cls, values: np.ndarray, step: float):
-        return cls(np.asarray(values, dtype=np.float64), step, kind="deterministic")
+        return cls(np.asarray(values, dtype=np.float64), step)
 
 
 def cumsum0(terms, axis):

@@ -18,6 +18,10 @@ then forms
 
 with Gamma inside the L integrand frozen at the left endpoint.  All arrays
 carry arbitrary leading batch axes; callbacks must broadcast over them.
+
+`VectorFieldSet.euler_terms` evaluates everything one Euler step needs with
+each callback called once, and `compute_malliavin_line` evaluates each
+callback once per line.
 """
 
 from __future__ import annotations
@@ -71,8 +75,6 @@ class VectorFieldSet:
     X: list
     grad_X: list
     hess_X: list
-    bound: float = np.inf
-    lipschitz: float = np.inf
     probe_scale: float = 1.0
 
     def __post_init__(self):
@@ -84,30 +86,23 @@ class VectorFieldSet:
             _check_jacobian(self.X[i], self.grad_X[i], pts, h, f"X_{i}")
             _check_jacobian(self.grad_X[i], self.hess_X[i], pts, h, f"grad X_{i}")
 
-    def diffusion(self, x) -> np.ndarray:
-        """Stack X_1..X_m(x) as (..., d, m)."""
-        return np.stack([self.X[i](x) for i in range(1, self.m + 1)], axis=-1)
+    def euler_terms(self, x):
+        """What one Euler step needs at x, each callback called at most once.
 
-    def diffusion_jac(self, x) -> np.ndarray:
-        return np.stack([self.grad_X[i](x) for i in range(1, self.m + 1)], axis=-1)
-
-    def ito_drift(self, x) -> np.ndarray:
-        """Xt0 = X0 + (1/2) sum_i grad(X_i).X_i."""
-        out = self.X[0](x)
+        Returns the diffusion X_1..X_m (..., d, m), its Jacobian (..., d, d, m),
+        the Ito drift Xt0 = X0 + (1/2) sum_i grad(X_i).X_i and its Jacobian
+        grad X0 + (1/2) sum_i (hess X_i : X_i + grad X_i grad X_i).
+        """
+        X = [f(x) for f in self.X]
+        J = [f(x) for f in self.grad_X]
+        drift, drift_jac = X[0], J[0]
         for i in range(1, self.m + 1):
-            out = out + 0.5 * np.einsum("...ab,...b->...a", self.grad_X[i](x), self.X[i](x))
-        return out
-
-    def ito_drift_jac(self, x) -> np.ndarray:
-        """Jacobian of Xt0: grad X0 + (1/2) sum_i (hess X_i : X_i + grad X_i grad X_i)."""
-        out = self.grad_X[0](x)
-        for i in range(1, self.m + 1):
-            J = self.grad_X[i](x)
-            out = out + 0.5 * (
-                np.einsum("...abc,...c->...ab", self.hess_X[i](x), self.X[i](x))
-                + np.einsum("...ac,...cb->...ab", J, J)
+            drift = drift + 0.5 * np.einsum("...ab,...b->...a", J[i], X[i])
+            drift_jac = drift_jac + 0.5 * (
+                np.einsum("...abc,...c->...ab", self.hess_X[i](x), X[i])
+                + np.einsum("...ac,...cb->...ab", J[i], J[i])
             )
-        return out
+        return np.stack(X[1:], axis=-1), np.stack(J[1:], axis=-1), drift, drift_jac
 
 
 @dataclass
@@ -117,7 +112,6 @@ class Payoff:
     f: Callable
     grad_f: Callable
     hess_f: Callable
-    bounded: bool = False
     name: str = "payoff"
     d: int = 1
     probe_scale: float = 1.0
@@ -187,12 +181,10 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     for k in range(n):
         xk = x[..., k, :]
         dz = z[..., k + 1, :] - z[..., k, :]
-        diff = vf.diffusion(xk)
-        x[..., k + 1, :] = (
-            xk + np.einsum("...am,...m->...a", diff, dz) + vf.ito_drift(xk) * ds
-        )
-        M = np.einsum("...abm,...m->...ab", vf.diffusion_jac(xk), dz)
-        A = M + vf.ito_drift_jac(xk) * ds
+        diff, diff_jac, drift, drift_jac = vf.euler_terms(xk)
+        x[..., k + 1, :] = xk + np.einsum("...am,...m->...a", diff, dz) + drift * ds
+        M = np.einsum("...abm,...m->...ab", diff_jac, dz)
+        A = M + drift_jac * ds
         U[..., k + 1, :, :] = U[..., k, :, :] + A @ U[..., k, :, :]
         U_inv[..., k + 1, :, :] = U_inv[..., k, :, :] @ (eye - A + A @ A)
     if not np.all(np.isfinite(x[..., n, :])):
@@ -219,8 +211,9 @@ def compute_malliavin_line(
     if fault not in (None, "flip-r-sign"):
         raise ModelError(f"unknown fault {fault!r}")
     dz = np.diff(z, axis=-2)
+    X = [vf.X[i](x) for i in range(1, vf.m + 1)]
     # g[..., k, :, i] = U_k^{-1} X_{i+1}(x_k)
-    g = np.einsum("...ab,...bm->...am", U_inv, vf.diffusion(x))
+    g = np.einsum("...ab,...bm->...am", U_inv, np.stack(X, axis=-1))
     g_l = g[..., :-1, :, :]
     C = cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, axis=-3)
     Gamma = np.einsum("...ab,...bc,...dc->...ad", U, C, U)
@@ -243,7 +236,7 @@ def compute_malliavin_line(
     )
     jx = np.zeros(x.shape)
     for i in range(1, vf.m + 1):
-        jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](x), vf.X[i](x))
+        jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](x), X[i - 1])
     t_bracket = cumsum0(
         np.einsum("...ab,...b->...a", U_inv[..., :-1, :, :], jx[..., :-1, :]) * ds,
         axis=-2,

@@ -1,10 +1,17 @@
-"""Model and payoff definitions: polynomial tables and named presets.
+"""Model and payoff definitions: one polynomial core and named presets.
 
 A vector field is declared as a table of monomials per output component,
-``[[coef, [p_1, ..., p_d]], ...]``; gradients and Hessians are derived from
-the table analytically, so declared derivatives are exact by construction
-(they still go through the mandatory finite-difference probe).  Arbitrary
-callbacks remain a library-level API via VectorFieldSet itself.
+``[[coef, [p_1, ..., p_d]], ...]``.  The fields X_0..X_m, their gradients
+and Hessians, and the payoff presets (one-term tables) all go through one
+evaluator, `_evaluate`.  The gradient table is derived from each table once,
+when the model is built (d/dx_b of (coef, p) is (coef * p_b, p - e_b)), and
+the Hessian table is the derivative of the gradient table, so declared
+derivatives are exact by construction (they still go through the mandatory
+finite-difference probe).  Each output entry is summed term by term in table
+order, never through a dense contraction that would reorder the sums.
+`_normalize_table` is the only place a table is checked and converted, so a
+malformed table raises ConfigurationError.  Arbitrary callbacks remain a
+library-level API via VectorFieldSet itself.
 """
 
 from __future__ import annotations
@@ -25,86 +32,72 @@ def _mono(x, powers):
     return out
 
 
-def _poly_value(x, comp_terms):
-    d = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + (len(comp_terms),))
-    for a, terms in enumerate(comp_terms):
+def _evaluate(x, entries, shape):
+    """The one polynomial evaluator: each entry's terms summed in table order.
+
+    `entries` lists the output entries in C order, each a list of
+    (coef, powers) terms; the result has shape x.shape[:-1] + shape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape[:-1] + (len(entries),))
+    for e, terms in enumerate(entries):
         for coef, powers in terms:
-            out[..., a] += coef * _mono(x, powers)
-    return out
+            out[..., e] += coef * _mono(x, powers)
+    return out.reshape(x.shape[:-1] + shape)
 
 
-def _poly_grad(x, comp_terms):
-    d = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + (len(comp_terms), d))
-    for a, terms in enumerate(comp_terms):
-        for coef, powers in terms:
-            for b, pb in enumerate(powers):
-                if pb:
-                    dp = list(powers)
-                    dp[b] -= 1
-                    out[..., a, b] += coef * pb * _mono(x, dp)
-    return out
+def _derivative(entries, d):
+    """Entries of d/dx_b for every entry and b, entry-major.
+
+    d/dx_b of (coef, p) is (coef * p_b, p - e_b); terms with p_b = 0 drop out.
+    """
+    return [
+        [(coef * p[b], p[:b] + (p[b] - 1,) + p[b + 1:]) for coef, p in terms if p[b]]
+        for terms in entries
+        for b in range(d)
+    ]
 
 
-def _poly_hess(x, comp_terms):
-    d = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + (len(comp_terms), d, d))
-    for a, terms in enumerate(comp_terms):
-        for coef, powers in terms:
-            for b, pb in enumerate(powers):
-                if not pb:
-                    continue
-                for c, pc in enumerate(powers):
-                    if b == c:
-                        if pb >= 2:
-                            dp = list(powers)
-                            dp[b] -= 2
-                            out[..., a, b, b] += coef * pb * (pb - 1) * _mono(x, dp)
-                    elif pc:
-                        dp = list(powers)
-                        dp[b] -= 1
-                        dp[c] -= 1
-                        out[..., a, b, c] += coef * pb * pc * _mono(x, dp)
-    return out
+def _poly_callbacks(entries, shape, d):
+    """Value, gradient and Hessian callbacks of one table.
+
+    The gradient table is derived once here, the Hessian table is the
+    derivative of the gradient table, and all three go through `_evaluate`.
+    """
+    grad = _derivative(entries, d)
+    tables = (entries, grad, _derivative(grad, d))
+    return tuple(
+        lambda x, _e=e, _s=shape + (d,) * k: _evaluate(x, _e, _s)
+        for k, e in enumerate(tables)
+    )
 
 
 def _normalize_table(table, d):
-    """One field's table: list over components of [coef, powers] pairs."""
-    norm = []
-    for comp in table:
-        terms = []
-        for entry in comp:
-            coef, powers = entry
-            powers = [int(p) for p in powers]
+    """One field's table: d components of (float coef, int powers) terms."""
+    try:
+        norm = [
+            [(float(coef), tuple(int(p) for p in powers)) for coef, powers in comp]
+            for comp in table
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad monomial table entry: {exc}") from exc
+    for comp in norm:
+        for _, powers in comp:
             if len(powers) != d or any(p < 0 for p in powers):
-                raise ConfigurationError(f"bad monomial powers {powers} for d={d}")
-            terms.append((float(coef), powers))
-        norm.append(terms)
+                raise ConfigurationError(f"bad monomial powers {list(powers)} for d={d}")
     if len(norm) != d:
         raise ConfigurationError(f"field table has {len(norm)} components, d={d}")
     return norm
 
 
-def polynomial_fields(d, m, tables, bound=np.inf, lipschitz=np.inf, probe_scale=1.0):
+def polynomial_fields(d, m, tables, probe_scale=1.0):
     """VectorFieldSet from m+1 monomial tables (index 0 is the drift X_0)."""
     if len(tables) != m + 1:
         raise ConfigurationError(f"need m+1={m + 1} field tables, got {len(tables)}")
-    norm = [_normalize_table(t, d) for t in tables]
-
-    def make(fn, table):
-        return lambda x, _t=table: fn(np.asarray(x, dtype=np.float64), _t)
-
-    return VectorFieldSet(
-        d=d,
-        m=m,
-        X=[make(_poly_value, t) for t in norm],
-        grad_X=[make(_poly_grad, t) for t in norm],
-        hess_X=[make(_poly_hess, t) for t in norm],
-        bound=bound,
-        lipschitz=lipschitz,
-        probe_scale=probe_scale,
-    )
+    fields = [_poly_callbacks(_normalize_table(t, d), (d,), d) for t in tables]
+    X, grad_X, hess_X = (list(cbs) for cbs in zip(*fields))
+    return VectorFieldSet(d=d, m=m, X=X, grad_X=grad_X, hess_X=hess_X,
+                          probe_scale=probe_scale)
 
 
 @dataclass
@@ -132,7 +125,7 @@ def _table_config(name, d, m, tables, x0):
         "m": m,
         "x0": [float(v) for v in np.atleast_1d(x0)],
         "fields": [
-            [[[float(c), [int(p) for p in pw]] for c, pw in comp] for comp in table]
+            [[[c, list(pw)] for c, pw in comp] for comp in _normalize_table(table, d)]
             for table in tables
         ],
     }
@@ -185,60 +178,38 @@ def model_from_config(cfg) -> Model:
         m = int(cfg["m"])
         tables = cfg["fields"]
         x0 = np.asarray(cfg.get("x0", np.zeros(d)), dtype=np.float64)
+        if isinstance(tables, dict):
+            tables = [tables[str(i)] for i in range(m + 1)]
     except KeyError as exc:
         raise ConfigurationError(f"model config missing field {exc}") from exc
-    if isinstance(tables, dict):
-        tables = [tables[str(i)] for i in range(m + 1)]
-    tables = [
-        [[(float(c), [int(x) for x in pw]) for c, pw in comp] for comp in table]
-        for table in tables
-    ]
     return _table_model(cfg.get("name", "custom"), d, m, tables, x0)
 
 
+def _poly_payoff(terms, d, name) -> Payoff:
+    """A payoff f = sum of coef * x^p, built through the polynomial core."""
+    f, grad_f, hess_f = _poly_callbacks([terms], (), d)
+    return Payoff(f, grad_f, hess_f, name=name, d=d)
+
+
+def _unit_powers(j, d, power):
+    powers = [0] * d
+    try:
+        powers[j] = power
+    except (IndexError, TypeError) as exc:
+        raise ConfigurationError(f"payoff coordinate j={j!r} out of range for d={d}") from exc
+    return tuple(powers)
+
+
 def coordinate_payoff(j=0, d=1) -> Payoff:
-    def f(x):
-        return x[..., j]
-
-    def grad(x):
-        g = np.zeros_like(x)
-        g[..., j] = 1.0
-        return g
-
-    def hess(x):
-        return np.zeros(x.shape + (d,))
-
-    return Payoff(f, grad, hess, bounded=False, name=f"coordinate[{j}]", d=d)
+    return _poly_payoff([(1.0, _unit_powers(j, d, 1))], d, f"coordinate[{j}]")
 
 
 def square_payoff(j=0, d=1) -> Payoff:
-    def f(x):
-        return x[..., j] ** 2
-
-    def grad(x):
-        g = np.zeros_like(x)
-        g[..., j] = 2.0 * x[..., j]
-        return g
-
-    def hess(x):
-        h = np.zeros(x.shape + (d,))
-        h[..., j, j] = 2.0
-        return h
-
-    return Payoff(f, grad, hess, bounded=False, name=f"square[{j}]", d=d)
+    return _poly_payoff([(1.0, _unit_powers(j, d, 2))], d, f"square[{j}]")
 
 
 def constant_payoff(c=1.0, d=1) -> Payoff:
-    def f(x):
-        return np.full(x.shape[:-1], float(c))
-
-    def grad(x):
-        return np.zeros_like(x)
-
-    def hess(x):
-        return np.zeros(x.shape + (d,))
-
-    return Payoff(f, grad, hess, bounded=True, name=f"constant[{c}]", d=d)
+    return _poly_payoff([(float(c), (0,) * d)], d, f"constant[{c}]")
 
 
 PAYOFF_PRESETS = {

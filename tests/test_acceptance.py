@@ -222,11 +222,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         [[(1.0, [0, 0])], [(0.5, [1, 0])]],
         [[(0.25, [0, 1])], [(1.0, [0, 0])]],
     ])
-    z = np.zeros((1000, 33, 2))
-    from sheetcalc.lattice import boundary_increments, Channel
-
-    bi = boundary_increments(32, 1.0 / 32, 2, NoiseSpec(SEED, 0, 2), Channel.Z_S0, "s", 1000)
-    z[:, 1:, :] = np.cumsum(bi, axis=-2)
+    z = sample_boundary_bm(32, 1.0 / 32, 2, NoiseSpec(SEED, 0, 2), batch=1000).values
     x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
     st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32)
     min_eig = float(np.linalg.eigvalsh(st.Gamma[:, -1]).min())

@@ -62,6 +62,24 @@ class TestValidation:
         cfg["run"]["frobnicate"] = True
         assert run(_write(tmp_path, cfg)) == 2
 
+    def _bad_model(self, tmp_path, capsys, fields):
+        cfg = _cfg(tmp_path, model={"d": 1, "m": 1, "x0": [1.0], "fields": fields})
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_model_entry_without_powers(self, tmp_path, capsys):
+        self._bad_model(tmp_path, capsys, [[[]], [[[1.0]]]])
+
+    def test_model_non_numeric_coefficient(self, tmp_path, capsys):
+        self._bad_model(tmp_path, capsys, [[[]], [[["one", [1]]]]])
+
+    def test_model_dict_fields_missing_key(self, tmp_path, capsys):
+        self._bad_model(tmp_path, capsys, {"0": [[]]})
+
+    def test_payoff_coordinate_out_of_range(self, tmp_path):
+        cfg = _cfg(tmp_path, **{"run.payoff_f": {"preset": "coordinate", "j": 1}})
+        assert run(_write(tmp_path, cfg)) == 2
+
 
 class TestRunCommands:
     def test_zero_model_ibp_zero_report(self, tmp_path):

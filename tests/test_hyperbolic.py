@@ -472,6 +472,29 @@ class TestFailingNodeOrder:
         assert err.value.cell == expected
         assert err.value.path == ((1,) if expected == (1, 1) else (0,))
 
+    def _corner_error(self, bounds):
+        # path 0 also goes bad, at node (1, 1): the corner must still come first
+        grid = Grid(4, 4, 0.25, 0.25)
+        incs = _incs(grid, 19, 2)
+        incs.values[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_system(bounded_test_coefficients(), bounds, grid, incs)
+        return err.value
+
+    def test_nan_x_corner_names_the_corner(self):
+        bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
+        bounds.x_s0[1, 0, 0] = bounds.x_0t[1, 0, 0] = np.nan
+        err = self._corner_error(bounds)
+        assert (err.cell, err.path) == ((0, 0), (1,))
+
+    @pytest.mark.parametrize("line", ["p_0t", "q_s0"])
+    def test_nan_companion_corner_names_the_corner(self, line):
+        bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
+        getattr(bounds, line)[1, 0, 0] = np.nan
+        err = self._corner_error(bounds)
+        assert (err.cell, err.path) == ((0, 0), (1,))
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_hyperbolic.py --update")

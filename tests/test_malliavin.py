@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sheetcalc.errors import ConfigurationError, ModelError, ShapeError
-from sheetcalc.lattice import Channel, Grid, NoiseSpec, boundary_increments
+from sheetcalc.lattice import Grid, NoiseSpec, sample_boundary_bm
 from sheetcalc.malliavin import (
     Payoff,
     VectorFieldSet,
@@ -30,10 +30,7 @@ DS = 1.0 / 128
 
 
 def _zline(n, n_paths, seed, m=1):
-    incs = boundary_increments(n, 1.0 / n, m, NoiseSpec(seed, 0, m), Channel.Z_S0, "s", n_paths)
-    z = np.zeros((n_paths, n + 1, m))
-    z[:, 1:, :] = np.cumsum(incs, axis=-2)
-    return z
+    return sample_boundary_bm(n, 1.0 / n, m, NoiseSpec(seed, 0, m), batch=n_paths).values
 
 
 def _linear_state(n_paths=2000, seed=1):
@@ -124,6 +121,34 @@ class TestStateLine:
         dev = np.abs(g - 1.0)
         assert np.sqrt(np.mean(dev[:, -1] ** 2)) < 6.0 * DS**0.5 * DS**0.5 + 0.05
         assert np.mean(dev[:, -1]) < 0.05
+
+    def test_each_callback_once_per_step(self):
+        vf = polynomial_fields(2, 2, [
+            [[(0.1, [1, 0])], []],
+            [[(1.0, [0, 0])], [(0.5, [1, 0])]],
+            [[(0.25, [0, 1])], [(1.0, [0, 0])]],
+        ])
+        calls = {}
+
+        def counted(name, cb):
+            def wrapped(x):
+                calls[name] = calls.get(name, 0) + 1
+                return cb(x)
+            return wrapped
+
+        for kind in ("X", "grad_X", "hess_X"):
+            cbs = getattr(vf, kind)
+            for i, cb in enumerate(cbs):
+                cbs[i] = counted(f"{kind}_{i}", cb)
+        n = 16
+        z = _zline(n, 4, 3, m=2)
+        x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / n)
+        # hess X_0 is not needed by the state line
+        assert calls == {f"{k}_{i}": n for k in ("X", "grad_X", "hess_X") for i in range(3)
+                         if (k, i) != ("hess_X", 0)}
+        calls.clear()
+        compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n)
+        assert max(calls.values()) == 1
 
     def test_wrong_driver_width(self):
         model = linear_1d()
@@ -222,15 +247,12 @@ class TestStationarityAndQV:
     def _field_lines(self, n_paths, seed, j_levels, n_t=8):
         from sheetcalc.lattice import CellIncrements, sample_cell_increments_batch
         from sheetcalc.sheet import solve_ou_hyperbolic
-        from sheetcalc.lattice import BoundaryPath
 
         grid = Grid(64, n_t, 1.0 / 64, 1.0 / 32)
         noise = NoiseSpec(seed, 0, 1)
-        zb_incs = boundary_increments(64, 1.0 / 64, 1, noise, Channel.Z_S0, "s", n_paths)
-        zb = np.zeros((n_paths, 65, 1))
-        zb[:, 1:, :] = np.cumsum(zb_incs, axis=-2)
+        zb = sample_boundary_bm(64, 1.0 / 64, 1, noise, batch=n_paths)
         incs = CellIncrements(sample_cell_increments_batch(grid, noise, n_paths), grid)
-        fld = solve_ou_hyperbolic(grid, BoundaryPath(zb, 1.0 / 64), incs)
+        fld = solve_ou_hyperbolic(grid, zb, incs)
         return grid, [fld.values[:, :, j, :] for j in j_levels]
 
     def test_t_stationarity_of_law(self):

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from sheetcalc.errors import ConfigurationError, ShapeError
 from sheetcalc.lattice import (
     CellIncrements,
-    Channel,
     Grid,
     NoiseSpec,
-    boundary_increments,
+    sample_boundary_bm,
     sample_cell_increments_batch,
 )
 from sheetcalc.sheet import SheetField, build_sheet
@@ -33,10 +32,7 @@ from sheetcalc.stochcalc import (
 
 
 def _brownian_lines(n, step, n_paths, seed):
-    incs = boundary_increments(n, step, 1, NoiseSpec(seed, 0, 1), Channel.Z_S0, "s", n_paths)
-    z = np.zeros((n_paths, n + 1, 1))
-    z[:, 1:, :] = np.cumsum(incs, axis=-2)
-    return z
+    return sample_boundary_bm(n, step, 1, NoiseSpec(seed, 0, 1), batch=n_paths).values
 
 
 def _lp(values, step=1.0 / 256):
