@@ -4,7 +4,7 @@ closed forms of the linear model (x = exp(z), Gamma = s x^2, L = x(s - z))."""
 import numpy as np
 import pytest
 
-from sheetcalc.errors import ConfigurationError, ModelError, ShapeError
+from sheetcalc.errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from sheetcalc.lattice import Grid, NoiseSpec, sample_boundary_bm
 from sheetcalc.malliavin import (
     Payoff,
@@ -149,6 +149,22 @@ class TestStateLine:
         calls.clear()
         compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n)
         assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("batch, poisoned, path, cell", [
+        # one batch axis: the lowest bad path is named, not the earliest step
+        ((6,), {(3,): 5, (1,): 10}, (1,), (10,)),
+        ((3, 5), {(2, 1): 4, (1, 3): 9, (1, 4): 2}, (1, 3), (9,)),
+    ])
+    def test_nonfinite_state_names_path_then_first_bad_node(self, batch, poisoned, path, cell):
+        model = linear_1d()
+        n = 16
+        z = _zline(n, int(np.prod(batch)), 15).reshape(batch + (n + 1, 1))
+        for p, step in poisoned.items():
+            z[p + (slice(step, None),)] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_state_line(model.vf, z, model.x0, 1.0 / n)
+        assert err.value.path == path
+        assert err.value.cell == cell
 
     def test_wrong_driver_width(self):
         model = linear_1d()

@@ -5,7 +5,9 @@ cannot see a change in how multi-term components are summed.  The pins in
 ``golden/model_pins.json`` hold the sha256 of X, grad X and hess X for
 multi-term tables at d = 2 and d = 3 (repeated monomials in one component,
 zero coefficients, powers >= 3, constants), of f, grad f and hess f for the
-payoff presets, and of every `MalliavinState` array of a d = 2, m = 2 line.
+payoff presets, and of every `MalliavinState` array of a d = 2, m = 2 line
+in five line shapes (one batch axis, none, two, a batch that comes from x0
+alone, a batched driver with x0 of shape (1, d)) and of a d = 3, m = 1 line.
 A pin changes only on purpose; regenerate the file with
 
     PYTHONPATH=src python tests/test_models.py --update
@@ -54,6 +56,17 @@ TABLES_D3 = [
      [(0.25, [1, 1, 2]), (0.25, [1, 1, 2]), (-3.0, [0, 2, 0])]],
 ]
 
+# X_0, X_1 of a d = 3, m = 1 line: linear terms plus quadratics with nonzero
+# Hessians, mild enough that the Euler line stays bounded.
+LINE_TABLES_D3 = [
+    [[(-0.5, [1, 0, 0]), (0.1, [0, 1, 1])],
+     [(0.2, [1, 0, 0]), (-0.3, [0, 1, 0])],
+     [(0.1, [0, 0, 0]), (-0.4, [0, 0, 1])]],
+    [[(0.3, [0, 0, 0]), (0.5, [1, 0, 0])],
+     [(0.2, [0, 1, 0]), (0.1, [1, 0, 1])],
+     [(0.4, [0, 0, 0]), (0.25, [0, 2, 0])]],
+]
+
 
 def _digest(a):
     a = np.asarray(a)
@@ -94,11 +107,15 @@ def _acceptance_model():
     ])
 
 
-def _state_digests():
-    vf = _acceptance_model()
-    z = sample_boundary_bm(32, 1.0 / 32, 2, NoiseSpec(SEED, 0, 2), batch=16).values
-    x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
-    st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32)
+def _line(m, batch=None, n=32):
+    return sample_boundary_bm(n, 1.0 / n, m, NoiseSpec(SEED, 0, m), batch=batch).values
+
+
+def _state_digests(vf, z, x0):
+    """Digests of every MalliavinState array of one line, L read last."""
+    n = z.shape[-2] - 1
+    x, U, Uinv = solve_state_line(vf, z, np.asarray(x0, dtype=np.float64), 1.0 / n)
+    st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n)
     return {name: _digest(getattr(st, name))
             for name in ("x", "U", "U_inv", "C", "Gamma", "R", "L")}
 
@@ -109,7 +126,21 @@ PIN_CASES = {
     "payoff-coordinate": lambda: _payoff_digests(coordinate_payoff(j=1, d=2)),
     "payoff-square": lambda: _payoff_digests(square_payoff(j=1, d=2)),
     "payoff-constant": lambda: _payoff_digests(constant_payoff(c=-2.5, d=2)),
-    "malliavin-d2m2": _state_digests,
+    "malliavin-d2m2": lambda: _state_digests(
+        _acceptance_model(), _line(2, batch=16), [0.5, -0.5]),
+    # line shapes: no batch axis, two batch axes, a batch from x0 alone, a
+    # batched driver with a broadcast x0, and a d = 3, m = 1 table model
+    "malliavin-unbatched": lambda: _state_digests(
+        _acceptance_model(), _line(2), [0.5, -0.5]),
+    "malliavin-batch-3x5": lambda: _state_digests(
+        _acceptance_model(), _line(2, batch=15).reshape(3, 5, 33, 2), [0.5, -0.5]),
+    "malliavin-batch-from-x0": lambda: _state_digests(
+        _acceptance_model(), _line(2),
+        [[0.5, -0.5], [0.0, 0.0], [-1.0, 0.25], [2.0, 1.5]]),
+    "malliavin-x0-1xd": lambda: _state_digests(
+        _acceptance_model(), _line(2, batch=6), [[0.5, -0.5]]),
+    "malliavin-d3m1": lambda: _state_digests(
+        polynomial_fields(3, 1, LINE_TABLES_D3), _line(1, batch=8), [0.2, -0.1, 0.3]),
 }
 
 
