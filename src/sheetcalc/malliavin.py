@@ -19,20 +19,28 @@ then forms
 with Gamma inside the L integrand frozen at the left endpoint.  All arrays
 carry arbitrary leading batch axes; callbacks must broadcast over them.
 
+Line state is stored step-major, (n+1, ..., d): each Euler step and each
+running integral reads and writes one contiguous slab of all paths.  The
+arrays handed out keep the batch-first shapes (..., n+1, d) as
+`np.moveaxis` views, so they are in general not contiguous.  The running
+integrals add one step at a time (`_partial_sums`), in `np.cumsum`'s order.
+
 `VectorFieldSet.euler_terms` evaluates everything one Euler step needs with
-each callback called once, and `compute_malliavin_line` evaluates each
-callback once per line.
+each callback called once.  `compute_malliavin_line` evaluates X_1..X_m once
+per line; L, and with it every grad X and hess X callback it needs, is
+computed once on the first read of `MalliavinState.L`, so a caller that
+reads only U, C, R or Gamma never pays for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ModelError, NumericsError, ShapeError
-from .lattice import Stream, cumsum0, normal_grid
+from .lattice import Stream, normal_grid
 
 _PROBE_POINTS = 8
 _PROBE_H = 1e-4
@@ -129,7 +137,13 @@ class Payoff:
 
 @dataclass
 class MalliavinState:
-    """Per-line trajectories over the s-index (arrays share leading batch axes)."""
+    """Per-line trajectories over the s-index (arrays share leading batch axes).
+
+    The arrays are batch-first views over step-major storage (the s-index
+    outermost in memory), so with a batch axis they are not contiguous.  L is
+    computed on its first read, from inputs that `compute_malliavin_line`
+    leaves here, and kept.
+    """
 
     x: np.ndarray       # (..., n+1, d)
     U: np.ndarray       # (..., n+1, d, d)
@@ -137,8 +151,16 @@ class MalliavinState:
     C: np.ndarray       # (..., n+1, d, d)
     Gamma: np.ndarray   # (..., n+1, d, d)
     R: np.ndarray       # (..., n+1, d)
-    L: np.ndarray       # (..., n+1, d)
     ds: float
+    _L: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _make_L: Optional[Callable] = field(default=None, init=False, repr=False)
+
+    @property
+    def L(self) -> np.ndarray:
+        """(..., n+1, d), computed on first read and kept."""
+        if self._L is None:
+            self._L, self._make_L = self._make_L(), None
+        return self._L
 
     def uu_inv_drift(self) -> float:
         """Max |U U^{-1} - I|: tracked scheme error of the inverse recursion."""
@@ -152,11 +174,30 @@ def _line_values(z_line):
     return np.asarray(z_line, dtype=np.float64), None
 
 
+def _step_major(z):
+    """A contiguous copy of a (..., n+1, m) line with the s-index first."""
+    return np.ascontiguousarray(np.moveaxis(z, -2, 0))
+
+
+def _partial_sums(terms):
+    """Partial sums over the leading (step) axis with a zero slab first.
+
+    One add per step, each on a contiguous slab, in the order `np.cumsum`
+    adds, so it equals `lattice.cumsum0` along that axis bit for bit.
+    """
+    out = np.zeros((terms.shape[0] + 1,) + terms.shape[1:])
+    out[1:2] = terms[:1]
+    for k in range(1, terms.shape[0]):
+        np.add(out[k], terms[k], out=out[k + 1])
+    return out
+
+
 def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     """Euler sweep of the state, derivative flow and its inverse along one line.
 
     z_line: driving path values (..., n+1, m) (an OU row at fixed t, or the
-    boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes.
+    boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
+    batch-first views of step-major arrays.
     """
     z, step = _line_values(z_line)
     if ds is None:
@@ -171,36 +212,40 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
         x0 = x0[None]
     batch = np.broadcast_shapes(z.shape[:-2], x0.shape[:-1])
     d = vf.d
-    x = np.zeros(batch + (n + 1, d))
-    U = np.zeros(batch + (n + 1, d, d))
-    U_inv = np.zeros(batch + (n + 1, d, d))
+    zs = _step_major(z)
+    x = np.zeros((n + 1,) + batch + (d,))
+    U = np.zeros((n + 1,) + batch + (d, d))
+    U_inv = np.zeros((n + 1,) + batch + (d, d))
     eye = np.eye(d)
-    x[..., 0, :] = x0
-    U[..., 0, :, :] = eye
-    U_inv[..., 0, :, :] = eye
+    x[0] = x0
+    U[0] = eye
+    U_inv[0] = eye
     for k in range(n):
-        xk = x[..., k, :]
-        dz = z[..., k + 1, :] - z[..., k, :]
+        xk = x[k]
+        dz = zs[k + 1] - zs[k]
         diff, diff_jac, drift, drift_jac = vf.euler_terms(xk)
-        x[..., k + 1, :] = xk + np.einsum("...am,...m->...a", diff, dz) + drift * ds
+        x[k + 1] = xk + np.einsum("...am,...m->...a", diff, dz) + drift * ds
         M = np.einsum("...abm,...m->...ab", diff_jac, dz)
         A = M + drift_jac * ds
-        U[..., k + 1, :, :] = U[..., k, :, :] + A @ U[..., k, :, :]
-        U_inv[..., k + 1, :, :] = U_inv[..., k, :, :] @ (eye - A + A @ A)
+        U[k + 1] = U[k] + A @ U[k]
+        U_inv[k + 1] = U_inv[k] @ (eye - A + A @ A)
+    x = np.moveaxis(x, 0, -2)
     if not np.all(np.isfinite(x[..., n, :])):
+        # lowest path first, then its first bad node
         bad = np.argwhere(~np.isfinite(x))
         raise NumericsError(
             "non-finite state along the line",
             cell=(int(bad[0][-2]),),
             path=tuple(int(v) for v in bad[0][:-2]),
         )
-    return x, U, U_inv
+    return x, np.moveaxis(U, 0, -3), np.moveaxis(U_inv, 0, -3)
 
 
 def compute_malliavin_line(
     vf: VectorFieldSet, x, U, U_inv, z_line, ds: float = None, fault: Optional[str] = None
 ) -> MalliavinState:
-    """C, Gamma, R, L along one line from a solved (x, U, U^-1) trajectory.
+    """C, Gamma, R along one line from a solved (x, U, U^-1) trajectory, and
+    the inputs of L, which the state computes on its first read.
 
     fault="flip-r-sign" negates the R term inside L only; it exists so the
     verification suite can demonstrate that a wrong formula is detected.
@@ -210,40 +255,53 @@ def compute_malliavin_line(
         ds = step
     if fault not in (None, "flip-r-sign"):
         raise ModelError(f"unknown fault {fault!r}")
-    dz = np.diff(z, axis=-2)
-    X = [vf.X[i](x) for i in range(1, vf.m + 1)]
-    # g[..., k, :, i] = U_k^{-1} X_{i+1}(x_k)
-    g = np.einsum("...ab,...bm->...am", U_inv, np.stack(X, axis=-1))
-    g_l = g[..., :-1, :, :]
-    C = cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, axis=-3)
-    Gamma = np.einsum("...ab,...bc,...dc->...ad", U, C, U)
-    g_mid = 0.5 * (g_l + g[..., 1:, :, :])
-    R = -cumsum0(np.einsum("...am,...m->...a", g_mid, dz), axis=-2)
-    # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint weights
-    # on the dz contraction, left endpoint on the dr terms.
-    hs = np.stack([vf.hess_X[i](x) for i in range(1, vf.m + 1)], axis=-1)
-    uinv_h = np.einsum("...ab,...bcdm->...acdm", U_inv, hs)
-    gam_l = Gamma[..., :-1, :, :]
-    h_left = np.einsum("...acdm,...cd->...am", uinv_h[..., :-1, :, :, :, :], gam_l)
-    h_right = np.einsum("...acdm,...cd->...am", uinv_h[..., 1:, :, :, :, :], gam_l)
-    t_hess_z = cumsum0(
-        np.einsum("...am,...m->...a", 0.5 * (h_left + h_right), dz), axis=-2
+    # step-major views: free on solve_state_line's output
+    xs = np.moveaxis(x, -2, 0)
+    Us = np.moveaxis(U, -3, 0)
+    Uis = np.moveaxis(U_inv, -3, 0)
+    dz = np.diff(_step_major(z), axis=0)
+    # a driver with fewer batch axes than the state lines up behind the s-index
+    dz = dz.reshape(dz.shape[:1] + (1,) * (xs.ndim - dz.ndim) + dz.shape[1:])
+    X = [vf.X[i](xs) for i in range(1, vf.m + 1)]
+    # g[k, ..., :, i] = U_k^{-1} X_{i+1}(x_k)
+    g = np.einsum("...ab,...bm->...am", Uis, np.stack(X, axis=-1))
+    g_l = g[:-1]
+    C = _partial_sums(np.einsum("...am,...bm->...ab", g_l, g_l) * ds)
+    Gamma = np.einsum("...ab,...bc,...dc->...ad", Us, C, Us)
+    g_mid = 0.5 * (g_l + g[1:])
+    R = -_partial_sums(np.einsum("...am,...m->...a", g_mid, dz))
+
+    def make_L():
+        # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint
+        # weights on the dz contraction, left endpoint on the dr terms.
+        hs = np.stack([vf.hess_X[i](xs) for i in range(1, vf.m + 1)], axis=-1)
+        uinv_h = np.einsum("...ab,...bcdm->...acdm", Uis, hs)
+        gam_l = Gamma[:-1]
+        h_left = np.einsum("...acdm,...cd->...am", uinv_h[:-1], gam_l)
+        h_right = np.einsum("...acdm,...cd->...am", uinv_h[1:], gam_l)
+        t_hess_z = _partial_sums(
+            np.einsum("...am,...m->...a", 0.5 * (h_left + h_right), dz)
+        )
+        uinv_h0 = np.einsum("...ab,...bcd->...acd", Uis, vf.hess_X[0](xs))
+        t_hess_dr = _partial_sums(
+            np.einsum("...acd,...cd->...a", uinv_h0[:-1], gam_l) * ds
+        )
+        jx = np.zeros(xs.shape)
+        for i in range(1, vf.m + 1):
+            jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](xs), X[i - 1])
+        t_bracket = _partial_sums(
+            np.einsum("...ab,...b->...a", Uis[:-1], jx[:-1]) * ds
+        )
+        r_in_l = -R if fault == "flip-r-sign" else R
+        L = np.einsum("...ab,...b->...a", Us, r_in_l + t_hess_z + t_hess_dr + t_bracket)
+        return np.moveaxis(L, 0, -2)
+
+    state = MalliavinState(
+        x=x, U=U, U_inv=U_inv, C=np.moveaxis(C, 0, -3),
+        Gamma=np.moveaxis(Gamma, 0, -3), R=np.moveaxis(R, 0, -2), ds=ds,
     )
-    uinv_h0 = np.einsum("...ab,...bcd->...acd", U_inv, vf.hess_X[0](x))
-    t_hess_dr = cumsum0(
-        np.einsum("...acd,...cd->...a", uinv_h0[..., :-1, :, :, :], gam_l) * ds,
-        axis=-2,
-    )
-    jx = np.zeros(x.shape)
-    for i in range(1, vf.m + 1):
-        jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](x), X[i - 1])
-    t_bracket = cumsum0(
-        np.einsum("...ab,...b->...a", U_inv[..., :-1, :, :], jx[..., :-1, :]) * ds,
-        axis=-2,
-    )
-    r_in_l = -R if fault == "flip-r-sign" else R
-    L = np.einsum("...ab,...b->...a", U, r_in_l + t_hess_z + t_hess_dr + t_bracket)
-    return MalliavinState(x=x, U=U, U_inv=U_inv, C=C, Gamma=Gamma, R=R, L=L, ds=ds)
+    state._make_L = make_L
+    return state
 
 
 def apply_L(payoff: Payoff, state: MalliavinState, s_index: int) -> np.ndarray:

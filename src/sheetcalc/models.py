@@ -16,6 +16,7 @@ library-level API via VectorFieldSet itself.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,8 @@ def _normalize_table(table, d):
 
 def polynomial_fields(d, m, tables, probe_scale=1.0):
     """VectorFieldSet from m+1 monomial tables (index 0 is the drift X_0)."""
+    if not isinstance(tables, (list, tuple)):
+        raise ConfigurationError(f"field tables must be a list, got {type(tables).__name__}")
     if len(tables) != m + 1:
         raise ConfigurationError(f"need m+1={m + 1} field tables, got {len(tables)}")
     fields = [_poly_callbacks(_normalize_table(t, d), (d,), d) for t in tables]
@@ -158,6 +161,17 @@ MODEL_PRESETS = {
 }
 
 
+def _config_x0(value, d):
+    """A model's x0 from config: d finite numbers."""
+    try:
+        x0 = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"model x0 must be {d} numbers: {exc}") from exc
+    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
+        raise ConfigurationError(f"model x0 must be {d} finite numbers, got {value!r}")
+    return x0
+
+
 def model_from_config(cfg) -> Model:
     """Build a model from a preset name or an explicit polynomial spec."""
     if isinstance(cfg, str):
@@ -170,18 +184,22 @@ def model_from_config(cfg) -> Model:
             )
         model = MODEL_PRESETS[name]()
         if "x0" in cfg:
-            model.x0 = np.asarray(cfg["x0"], dtype=np.float64)
+            model.x0 = _config_x0(cfg["x0"], model.vf.d)
             model.config["x0"] = [float(v) for v in model.x0]
         return model
     try:
         d = int(cfg["d"])
         m = int(cfg["m"])
         tables = cfg["fields"]
-        x0 = np.asarray(cfg.get("x0", np.zeros(d)), dtype=np.float64)
         if isinstance(tables, dict):
             tables = [tables[str(i)] for i in range(m + 1)]
     except KeyError as exc:
         raise ConfigurationError(f"model config missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"model d and m must be integers: {exc}") from exc
+    if d < 1 or m < 1:
+        raise ConfigurationError(f"model needs d, m >= 1, got d={d}, m={m}")
+    x0 = _config_x0(cfg["x0"], d) if "x0" in cfg else np.zeros(d)
     return _table_model(cfg.get("name", "custom"), d, m, tables, x0)
 
 
@@ -209,7 +227,11 @@ def square_payoff(j=0, d=1) -> Payoff:
 
 
 def constant_payoff(c=1.0, d=1) -> Payoff:
-    return _poly_payoff([(float(c), (0,) * d)], d, f"constant[{c}]")
+    try:
+        coef = float(c)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"payoff constant c={c!r} is not a number") from exc
+    return _poly_payoff([(coef, (0,) * d)], d, f"constant[{c}]")
 
 
 PAYOFF_PRESETS = {
@@ -228,4 +250,10 @@ def payoff_from_config(cfg, d=1) -> Payoff:
             f"unknown payoff preset {name!r}; known: {sorted(PAYOFF_PRESETS)}"
         )
     kwargs = {k: v for k, v in cfg.items() if k != "preset"}
+    options = set(inspect.signature(PAYOFF_PRESETS[name]).parameters) - {"d"}
+    unknown = sorted(set(kwargs) - options)
+    if unknown:
+        raise ConfigurationError(
+            f"payoff preset {name!r} takes no option {unknown}; it takes {sorted(options)}"
+        )
     return PAYOFF_PRESETS[name](d=d, **kwargs)

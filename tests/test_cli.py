@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sheetcalc.cli import _DISPATCH, run
 from sheetcalc.config import COMMANDS, config_digest, expand_config
@@ -79,6 +80,36 @@ class TestValidation:
     def test_payoff_coordinate_out_of_range(self, tmp_path):
         cfg = _cfg(tmp_path, **{"run.payoff_f": {"preset": "coordinate", "j": 1}})
         assert run(_write(tmp_path, cfg)) == 2
+
+    def test_payoff_option_the_preset_does_not_take(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, **{"run.payoff_f": {"preset": "coordinate", "k": 1}})
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_payoff_constant_not_a_number(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, **{"run.payoff_g": {"preset": "constant", "c": "abc"}})
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_model_fields_not_a_list(self, tmp_path, capsys):
+        self._bad_model(tmp_path, capsys, 5)
+
+    @pytest.mark.parametrize("d, m, fields", [("x", 1, [[[]], [[[1.0, [1]]]]]), (1, -1, [])])
+    def test_model_bad_dimensions(self, tmp_path, capsys, d, m, fields):
+        cfg = _cfg(tmp_path, model={"d": d, "m": m, "fields": fields})
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        {"preset": "linear1d", "x0": ["a"]},
+        {"preset": "linear1d", "x0": [1.0, 2.0]},
+        {"d": 1, "m": 1, "x0": ["a"], "fields": [[[]], [[[1.0, [1]]]]]},
+        {"d": 1, "m": 1, "x0": [1.0, 2.0], "fields": [[[]], [[[1.0, [1]]]]]},
+    ], ids=["preset-non-numeric", "preset-wrong-length", "table-non-numeric",
+            "table-wrong-length"])
+    def test_model_bad_x0(self, tmp_path, capsys, model):
+        assert run(_write(tmp_path, _cfg(tmp_path, model=model))) == 2
+        assert "model x0" in capsys.readouterr().err
 
 
 class TestRunCommands:

@@ -3,12 +3,14 @@ closed forms of the linear model (x = exp(z), Gamma = s x^2, L = x(s - z))."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcalc.errors import ConfigurationError, ModelError, NumericsError, ShapeError
-from sheetcalc.lattice import Grid, NoiseSpec, sample_boundary_bm
+from sheetcalc.lattice import Grid, NoiseSpec, cumsum0, sample_boundary_bm
 from sheetcalc.malliavin import (
     Payoff,
     VectorFieldSet,
+    _partial_sums,
     apply_L,
     compute_malliavin_line,
     solve_state_line,
@@ -175,6 +177,28 @@ class TestStateLine:
         model = linear_1d()
         with pytest.raises(ShapeError):
             solve_state_line(model.vf, np.zeros((4, 9, 1)), model.x0)
+
+
+class TestPartialSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        batch=st.lists(st.integers(1, 4), max_size=2),
+        trailing=st.sampled_from([(1,), (2,), (3,), (2, 2), (3, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_cumsum0_bitwise(self, n, batch, trailing, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(batch) + (n,) + trailing
+        # magnitudes from 1e-8 to 1e8, both signs, some exact (and negative) zeros
+        terms = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        terms[rng.random(shape) < 0.05] = 0.0
+        terms[rng.random(shape) < 0.05] = -0.0
+        step_axis = len(batch)
+        expect = cumsum0(terms, axis=step_axis)
+        got = np.moveaxis(_partial_sums(np.moveaxis(terms, step_axis, 0)), 0, step_axis)
+        assert got.shape == expect.shape
+        assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
 
 
 class TestMalliavinObjects:

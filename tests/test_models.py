@@ -150,6 +150,49 @@ class TestModelPins:
         assert PIN_CASES[case]() == json.loads(PINS.read_text())[case]
 
 
+class TestLazyL:
+    """L and the grad X / hess X callbacks only it needs run on its first read."""
+
+    @staticmethod
+    def _counted_line(calls, fault=None):
+        vf = _acceptance_model()
+        for kind in ("X", "grad_X", "hess_X"):
+            cbs = getattr(vf, kind)
+            for i, cb in enumerate(cbs):
+                def wrapped(x, _cb=cb, _name=f"{kind}_{i}"):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _cb(x)
+                cbs[i] = wrapped
+        z = _line(2, batch=16)
+        x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
+        calls.clear()
+        return compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32, fault=fault)
+
+    def test_bismut_reads_call_no_l_callback(self):
+        calls = {}
+        st = self._counted_line(calls)
+        st.U, st.C, st.R, st.Gamma
+        assert calls == {"X_1": 1, "X_2": 1}
+
+    def test_first_read_of_l_calls_each_callback_once(self):
+        calls = {}
+        st = self._counted_line(calls)
+        calls.clear()
+        first = st.L
+        assert calls == {"grad_X_1": 1, "grad_X_2": 1,
+                         "hess_X_0": 1, "hess_X_1": 1, "hess_X_2": 1}
+        calls.clear()
+        assert st.L is first and calls == {}
+        assert _digest(first) == json.loads(PINS.read_text())["malliavin-d2m2"]["L"]
+
+    def test_flip_r_sign_changes_only_l(self):
+        honest = self._counted_line({})
+        flipped = self._counted_line({}, fault="flip-r-sign")
+        for name in ("x", "U", "U_inv", "C", "Gamma", "R"):
+            assert np.array_equal(getattr(honest, name), getattr(flipped, name))
+        assert not np.array_equal(honest.L, flipped.L)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_models.py --update")
