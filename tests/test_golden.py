@@ -27,7 +27,9 @@ OUTPUTS = ("report.json", "report.csv", "field.csv")
 
 # case -> (shipped config, mc overrides).  The multi-block cases span two
 # path blocks (LINE_CHUNK, FIELD_CHUNK, HYP_CHUNK), one of them also at two
-# workers; the last case draws with a seed above 2**63.
+# workers; the ou-cross-validation case at two workers spans three sample-ou
+# blocks, and verify-rules at two workers runs its rules on the thread pool;
+# the last case draws with a seed above 2**63.
 CASES = {
     "bismut-linear": ("bismut-linear", {"n_paths": 2000}),
     "holder-p": ("holder-p", {"n_paths": 2100}),
@@ -35,10 +37,12 @@ CASES = {
     "ibp-linear": ("ibp-linear", {"n_paths": 16500}),
     "ibp-linear-workers-2": ("ibp-linear", {"n_paths": 16500, "workers": 2}),
     "ou-cross-validation": ("ou-cross-validation", {"n_paths": 500}),
+    "ou-cross-validation-workers-2": ("ou-cross-validation", {"n_paths": 1100, "workers": 2}),
     "reversibility": ("reversibility", {"n_paths": 4200}),
     "sheet-covariance": ("sheet-covariance", {"n_paths": 2000}),
     "solve-ou-system": ("solve-ou-system", {"n_paths": 16}),
     "verify-rules": ("verify-rules", {"n_paths": 1000}),
+    "verify-rules-workers-2": ("verify-rules", {"n_paths": 1000, "workers": 2}),
     "reversibility-seed-2^63+1": ("reversibility", {"n_paths": 500, "seed": 2**63 + 1}),
 }
 
