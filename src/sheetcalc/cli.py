@@ -32,9 +32,14 @@ from .lattice import CellIncrements, NoiseSpec, sample_boundary_bm, \
     sample_cell_increments_batch
 from .models import model_from_config, payoff_from_config
 from .rules import run_rules
-from .sheet import SheetField, build_sheet, dump_csv, sample_ou_exact_batch, \
-    solve_ou_hyperbolic
-from .verify import run_bismut, run_holder_scan, run_ibp, run_reversibility
+from .sheet import SheetField, build_sheet, dump_csv, sample_ou_exact_batch
+from .verify import _map_blocks, _ou_field, run_bismut, run_holder_scan, run_ibp, \
+    run_reversibility
+
+# Paths per block for the commands that build whole sheet fields
+# (simulate-sheet, sample-ou).  Chosen by measurement, not from the worker
+# count, so the blocks and the bytes are the same at any worker count.
+SHEET_CHUNK = 512
 
 _PROBE_FRACTIONS = [
     ((0.5, 0.5), (0.5, 0.5)),
@@ -49,23 +54,27 @@ _PROBE_FRACTIONS = [
 ]
 
 
-def _sheet_batch(grid, seed, n_paths):
-    spec = NoiseSpec(seed, 0, 1)
-    incs = sample_cell_increments_batch(grid, spec, n_paths)
-    return build_sheet(CellIncrements(incs, grid))
-
-
 def _cmd_simulate_sheet(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     tol_se = float(cfg["run"]["probe_tolerance_se"])
-    w = _sheet_batch(grid, mc["seed"], mc["n_paths"])
+    nodes = [
+        ((round(fa[0] * grid.n_s), round(fa[1] * grid.n_t)),
+         (round(fb[0] * grid.n_s), round(fb[1] * grid.n_t)))
+        for fa, fb in _PROBE_FRACTIONS
+    ]
+
+    def block(start, count):
+        incs = sample_cell_increments_batch(grid, NoiseSpec(mc["seed"], start, 1), count)
+        w = build_sheet(CellIncrements(incs, grid)).values
+        prods = [w[:, ia, ja, 0] * w[:, ib, jb, 0] for (ia, ja), (ib, jb) in nodes]
+        return prods, (w[0].copy() if start == 0 else None)
+
+    parts = _map_blocks(block, mc["n_paths"], SHEET_CHUNK, mc["workers"])
     probes = []
     ok = True
-    for (fa, fb) in _PROBE_FRACTIONS:
-        ia, ja = round(fa[0] * grid.n_s), round(fa[1] * grid.n_t)
-        ib, jb = round(fb[0] * grid.n_s), round(fb[1] * grid.n_t)
-        prod = w.values[:, ia, ja, 0] * w.values[:, ib, jb, 0]
+    for k, ((ia, ja), (ib, jb)) in enumerate(nodes):
+        prod = np.concatenate([prods[k] for prods, _ in parts])
         want = min(ia * grid.ds, ib * grid.ds) * min(ja * grid.dt, jb * grid.dt)
         got = float(np.mean(prod))
         se = float(np.std(prod, ddof=1)) / np.sqrt(mc["n_paths"])
@@ -77,7 +86,7 @@ def _cmd_simulate_sheet(cfg):
         })
     report = {"kind": "sheet-covariance", "probes": probes, "all_pass": bool(ok),
               "n_paths": mc["n_paths"], "tolerance_se": tol_se}
-    field = SheetField(w.values[0], grid) if cfg["run"]["field_dump"] else None
+    field = SheetField(parts[0][1], grid) if cfg["run"]["field_dump"] else None
     return report, ok, field
 
 
@@ -85,12 +94,16 @@ def _cmd_sample_ou(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     n = mc["n_paths"]
-    spec = NoiseSpec(mc["seed"], 0, 1)
-    exact = sample_ou_exact_batch(grid, spec, n)[:, -1, -1, 0]
-    zb = sample_boundary_bm(grid.n_s, grid.ds, 1, spec, batch=n)
-    incs = CellIncrements(sample_cell_increments_batch(grid, spec, n), grid)
-    fld = solve_ou_hyperbolic(grid, zb, incs)
-    solved = fld.values[:, -1, -1, 0]
+
+    def block(start, count):
+        spec = NoiseSpec(mc["seed"], start, 1)
+        exact = sample_ou_exact_batch(grid, spec, count)[:, -1, -1, 0].copy()
+        fld = _ou_field(grid, spec, count).values
+        return exact, fld[:, -1, -1, 0].copy(), (fld[0].copy() if start == 0 else None)
+
+    parts = _map_blocks(block, n, SHEET_CHUNK, mc["workers"])
+    exact = np.concatenate([p[0] for p in parts])
+    solved = np.concatenate([p[1] for p in parts])
     ks = _scipy_stats.ks_2samp(exact, solved)
     level = float(cfg["run"]["ks_level"])
     ok = bool(ks.pvalue >= level)
@@ -100,13 +113,13 @@ def _cmd_sample_ou(cfg):
         "n_paths": n, "node": [grid.n_s, grid.n_t],
         "exact_var": float(np.var(exact, ddof=1)), "solved_var": float(np.var(solved, ddof=1)),
     }
-    field = SheetField(fld.values[0], grid) if cfg["run"]["field_dump"] else None
+    field = SheetField(parts[0][2], grid) if cfg["run"]["field_dump"] else None
     return report, ok, field
 
 
 def _cmd_verify_rules(cfg):
     mc = cfg["mc"]
-    report = run_rules(n_paths=mc["n_paths"], seed=mc["seed"])
+    report = run_rules(n_paths=mc["n_paths"], seed=mc["seed"], workers=mc["workers"])
     return report, bool(report["all_pass"]), None
 
 

@@ -210,8 +210,10 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 0:
         x0 = x0[None]
-    batch = np.broadcast_shapes(z.shape[:-2], x0.shape[:-1])
     d = vf.d
+    if x0.shape[-1] != d:
+        raise ShapeError(f"x0 has {x0.shape[-1]} components, model has d={d}")
+    batch = np.broadcast_shapes(z.shape[:-2], x0.shape[:-1])
     zs = _step_major(z)
     x = np.zeros((n + 1,) + batch + (d,))
     U = np.zeros((n + 1,) + batch + (d, d))

@@ -5,6 +5,11 @@ into one report.  Exact rules run on dyadically quantized inputs, where the
 lattice arithmetic is exact and the identity must hold bit for bit; the
 statistical rules state their tolerance as a multiple of the Monte Carlo
 standard error or as a fitted-order window.
+
+The rules are independent pure functions of (seed, n_paths), so `run_rules`
+runs them as the items of the package's one ordered pool map
+(`verify.pool_map`) and reports them in a fixed order: the report is the
+same at any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .stochcalc import (
     quantize_values,
     prefix2d,
 )
+from .verify import check_n_paths, pool_map
 
 
 def _line(values, step):
@@ -111,16 +117,21 @@ def rule_zeta6_offdiagonal(grid: Grid, n_paths, seed) -> tuple:
     return ("zeta6-offdiagonal-zero", dev, tol, dev <= tol)
 
 
-def rule_mixed_annihilation(n_paths, seed) -> tuple:
-    """RMS of sum(dsx ddw) scales like sqrt(ds dt): one refinement halves it."""
-    rms = []
-    for k, n in enumerate((16, 32)):
-        grid = Grid(n, n, 1.0 / n, 1.0 / n)
-        incs = sample_cell_increments_batch(grid, NoiseSpec(seed + k, 0, 2), n_paths)
-        w = build_sheet(CellIncrements(incs, grid))
-        vals = check_mixed_annihilation(field_component(w, 1), w, component=0)
-        rms.append(float(np.sqrt(np.mean(vals**2))))
-    ratio = rms[0] / rms[1]
+def _annihilation_rms(n, n_paths, seed) -> float:
+    """RMS over paths of sum(dsx ddw) on the n x n grid of the unit square."""
+    grid = Grid(n, n, 1.0 / n, 1.0 / n)
+    incs = sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 2), n_paths)
+    w = build_sheet(CellIncrements(incs, grid))
+    vals = check_mixed_annihilation(field_component(w, 1), w, component=0)
+    return float(np.sqrt(np.mean(vals**2)))
+
+
+def rule_mixed_annihilation(rms_16, rms_32) -> tuple:
+    """RMS of sum(dsx ddw) scales like sqrt(ds dt): one refinement halves it.
+
+    Takes `_annihilation_rms` on the 16 x 16 and the 32 x 32 grid.
+    """
+    ratio = rms_16 / rms_32
     ok = abs(ratio - np.sqrt(2.0)) <= 0.2 * np.sqrt(2.0)
     return ("mixed-annihilation-refinement", ratio, np.sqrt(2.0), ok)
 
@@ -197,22 +208,34 @@ def rule_bdg_isometry(grid: Grid, n_paths, seed) -> tuple:
     return ("bdg-isometry", float(ratio), float(tol), ratio <= tol)
 
 
-def run_rules(n_paths=10000, seed=2024) -> dict:
-    """Run the whole identity suite; returns a JSON-ready report."""
+def run_rules(n_paths=10000, seed=2024, workers=1) -> dict:
+    """Run the whole identity suite on `workers` threads; returns a JSON-ready
+    report, the same at any worker count."""
+    check_n_paths(n_paths)
     grid = Grid(16, 16, 1.0 / 16, 1.0 / 16)
-    checks = [
-        rule_telescoping_zeta1(seed),
-        rule_telescoping_stratonovich(seed + 1),
-        rule_telescoping_zeta3(Grid(8, 8, 1.0 / 8, 1.0 / 8), seed + 2),
-        rule_ito_stratonovich_bridge(seed + 3),
-        rule_order_exchange(seed + 4),
-        rule_zeta6_diagonal(grid, n_paths, seed + 5),
-        rule_zeta6_offdiagonal(grid, n_paths, seed + 6),
-        rule_mixed_annihilation(n_paths, seed + 7),
-        rule_mixed_annihilation_mean(grid, n_paths, seed + 8),
-        rule_stratonovich_chain_order(min(n_paths, 4000), seed + 9),
-        rule_vanishing_on_smooth(seed + 10),
-        rule_bdg_isometry(grid, n_paths, seed + 11),
+    # Heaviest first, so that no long item starts last while the other
+    # threads idle.  Mixed-annihilation's two grids are two items: at 10000
+    # paths the finer grid alone takes half of the suite's time.
+    items = [
+        lambda: _annihilation_rms(32, n_paths, seed + 8),
+        lambda: rule_vanishing_on_smooth(seed + 10),
+        lambda: rule_zeta6_offdiagonal(grid, n_paths, seed + 6),
+        lambda: rule_mixed_annihilation_mean(grid, n_paths, seed + 8),
+        lambda: _annihilation_rms(16, n_paths, seed + 7),
+        lambda: rule_stratonovich_chain_order(min(n_paths, 4000), seed + 9),
+        lambda: rule_zeta6_diagonal(grid, n_paths, seed + 5),
+        lambda: rule_bdg_isometry(grid, n_paths, seed + 11),
+        lambda: rule_telescoping_zeta1(seed),
+        lambda: rule_telescoping_stratonovich(seed + 1),
+        lambda: rule_telescoping_zeta3(Grid(8, 8, 1.0 / 8, 1.0 / 8), seed + 2),
+        lambda: rule_ito_stratonovich_bridge(seed + 3),
+        lambda: rule_order_exchange(seed + 4),
+    ]
+    (rms_32, vanishing, offdiagonal, annihilation_mean, rms_16, chain, diagonal, bdg,
+     zeta1, stratonovich, zeta3, bridge, exchange) = pool_map(lambda item: item(), items, workers)
+    checks = [  # report order
+        zeta1, stratonovich, zeta3, bridge, exchange, diagonal, offdiagonal,
+        rule_mixed_annihilation(rms_16, rms_32), annihilation_mean, chain, vanishing, bdg,
     ]
     rules = [
         {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}

@@ -8,6 +8,12 @@ the per-path differences.  Paths are processed in fixed-size blocks
 is bit-identical for any worker count.  A non-finite sample, or a solver
 failure inside a block, raises `NumericsError` naming the global path index.
 
+`pool_map` is the package's one thread pool: an ordered map of a function
+over a list of items.  `_map_blocks` runs path blocks on it, and the rules
+suite (`rules.run_rules`) and the `sample-ou` and `simulate-sheet` commands
+use it too.  Numpy releases the GIL in its array loops, so independent
+items overlap on threads.
+
 Reports carry no digest: the command line digests the expanded config
 (`config.config_digest`) and adds it to the outputs it writes.
 """
@@ -145,31 +151,44 @@ class _PairedSums:
         return ml, se_l, mr, se_r, md, se_d, z
 
 
+def pool_map(fn, items, workers):
+    """[fn(item) for item in items], serially or on up to `workers` threads.
+
+    Results come back in item order whichever thread ran them, so a caller
+    that combines them in that order gets the same bytes at any worker count.
+    One worker, or one item, runs in the calling thread with no pool.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def check_n_paths(n_paths):
+    """Every estimate needs a sample variance, so at least two paths are required."""
+    if n_paths < 2:
+        raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
+
+
 def _map_blocks(block_fn, n_paths, chunk, workers):
-    """block_fn(start, count) over fixed blocks of `chunk` paths, serially or
-    on `workers` threads; returns the partials in block order.  Every
-    estimate needs a sample variance, so at least two paths are required.
+    """block_fn(start, count) over fixed blocks of `chunk` paths on
+    `pool_map`; returns the partials in block order.  Needs n_paths >= 2.
 
     A NumericsError names a failing path as a tuple of batch indices in
     the block's arrays; its leading index is rebased to the global path.
     """
-    if n_paths < 2:
-        raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
-    blocks = [(start, min(chunk, n_paths - start)) for start in range(0, n_paths, chunk)]
+    check_n_paths(n_paths)
 
-    def one(block):
-        start, count = block
+    def one(start):
         try:
-            return block_fn(start, count)
+            return block_fn(start, min(chunk, n_paths - start))
         except NumericsError as exc:
             if exc.path:
                 exc.path = (start + exc.path[0],) + exc.path[1:]
             raise
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, blocks))
-    return [one(b) for b in blocks]
+    return pool_map(one, range(0, n_paths, chunk), workers)
 
 
 def _run_paired(sample_fn, n_paths, chunk, workers):

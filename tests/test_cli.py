@@ -7,6 +7,20 @@ import pytest
 
 from sheetcalc.cli import _DISPATCH, run
 from sheetcalc.config import COMMANDS, config_digest, expand_config
+from test_golden import run_config
+
+# command -> (shipped config, n_paths): each size spans at least two path
+# blocks of its runner; verify-rules runs its rules as the pool's items.
+WORKER_CASES = {
+    "simulate-sheet": ("sheet-covariance", 1100),
+    "sample-ou": ("ou-cross-validation", 1100),
+    "verify-rules": ("verify-rules", 1000),
+    "solve-hyperbolic": ("solve-ou-system", 16),
+    "run-ibp": ("ibp-linear", 16500),
+    "run-bismut": ("bismut-linear", 16500),
+    "run-reversibility": ("reversibility", 4200),
+    "holder-scan": ("holder-p", 2100),
+}
 
 BASE = {
     "grid": {"n_s": 32, "n_t": 8, "ds": 0.03125, "dt": 0.125},
@@ -110,6 +124,16 @@ class TestValidation:
     def test_model_bad_x0(self, tmp_path, capsys, model):
         assert run(_write(tmp_path, _cfg(tmp_path, model=model))) == 2
         assert "model x0" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["simulate-sheet", "sample-ou", "verify-rules"])
+    def test_one_path_exits_2_without_report(self, tmp_path, capsys, command):
+        # a sample variance needs two paths; at one, these reports held bare NaNs
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 1})
+        cfg["run"] = {"command": command}
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "need n_paths >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestRunCommands:
@@ -256,16 +280,19 @@ class TestReproducibility:
         assert run(_write(tmp_path, reparsed, "expanded.json")) == 0
         assert (tmp_path / "out2" / "report.json").read_bytes() == report1
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg = _cfg(tmp_path, **{"mc.n_paths": 40000})
-        path = _write(tmp_path, cfg)
-        assert run(path, workers=1) == 0
-        rep1 = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert run(path, workers=3) == 0
-        rep2 = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert {k: v for k, v in rep1.items() if k != "workers"} == {
-            k: v for k, v in rep2.items() if k != "workers"
-        }
+    def test_worker_table_covers_every_command(self):
+        assert sorted(WORKER_CASES) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(WORKER_CASES))
+    def test_workers_do_not_change_bytes(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("OUTPUT_DIR", raising=False)
+        config, n_paths = WORKER_CASES[command]
+        one = run_config(config, {"n_paths": n_paths, "workers": 1}, tmp_path / "w1")
+        assert "report.json" in one
+        # repeated for verify-rules, whose rules share the process's threads
+        for rep in range(3 if command == "verify-rules" else 1):
+            two = run_config(config, {"n_paths": n_paths, "workers": 2}, tmp_path / f"w2-{rep}")
+            assert two == one
 
     def test_seed_override_changes_digest(self, tmp_path):
         cfg = _cfg(tmp_path)

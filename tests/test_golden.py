@@ -64,9 +64,9 @@ def _without_workers(name, data: bytes) -> bytes:
     return data
 
 
-def run_case(case, outdir: Path) -> dict:
-    """Run one case into outdir; {output file: sha256 without workers}."""
-    config, overrides = CASES[case]
+def run_config(config, overrides, outdir: Path) -> dict:
+    """Run a shipped config with mc overrides into outdir; {output file:
+    sha256 without workers}."""
     cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     cfg["mc"].update(overrides)
     cfg["output"] = {"directory": str(outdir)}
@@ -74,11 +74,16 @@ def run_case(case, outdir: Path) -> dict:
     path = outdir / "config.json"
     path.write_text(json.dumps(cfg))
     code = run(str(path))
-    assert code == 0, f"{case}: exit code {code}"
+    assert code == 0, f"{config} {overrides}: exit code {code}"
     return {
         name: hashlib.sha256(_without_workers(name, (outdir / name).read_bytes())).hexdigest()
         for name in OUTPUTS if (outdir / name).is_file()
     }
+
+
+def run_case(case, outdir: Path) -> dict:
+    """Run one case into outdir; {output file: sha256 without workers}."""
+    return run_config(*CASES[case], outdir)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

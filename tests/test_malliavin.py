@@ -173,6 +173,12 @@ class TestStateLine:
         with pytest.raises(ShapeError):
             solve_state_line(model.vf, np.zeros((4, 9, 2)), model.x0, 0.125)
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], np.ones((4, 2))], ids=["flat", "batched"])
+    def test_wrong_x0_width(self, x0):
+        model = linear_1d()
+        with pytest.raises(ShapeError, match="x0 has 2 components"):
+            solve_state_line(model.vf, np.zeros((4, 9, 1)), x0, 0.125)
+
     def test_ds_required_for_bare_arrays(self):
         model = linear_1d()
         with pytest.raises(ShapeError):
