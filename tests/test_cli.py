@@ -125,7 +125,6 @@ class TestValidation:
         assert run(_write(tmp_path, _cfg(tmp_path, model=model))) == 2
         assert "model x0" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("command", ["simulate-sheet", "sample-ou", "verify-rules"])
     def test_one_path_exits_2_without_report(self, tmp_path, capsys, command):
         # a sample variance needs two paths; at one, these reports held bare NaNs
