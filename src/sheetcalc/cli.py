@@ -32,14 +32,9 @@ from .lattice import CellIncrements, NoiseSpec, sample_boundary_bm, \
     sample_cell_increments_batch
 from .models import model_from_config, payoff_from_config
 from .rules import run_rules
-from .sheet import SheetField, build_sheet, dump_csv, sample_ou_exact_batch
-from .verify import _map_blocks, _ou_field, run_bismut, run_holder_scan, run_ibp, \
-    run_reversibility
-
-# Paths per block for the commands that build whole sheet fields
-# (simulate-sheet, sample-ou).  Chosen by measurement, not from the worker
-# count, so the blocks and the bytes are the same at any worker count.
-SHEET_CHUNK = 512
+from .sheet import SheetField, dump_csv
+from .verify import run_bismut, run_holder_scan, run_ibp, run_reversibility, \
+    sample_ou_corner, sample_sheet_nodes
 
 _PROBE_FRACTIONS = [
     ((0.5, 0.5), (0.5, 0.5)),
@@ -58,23 +53,17 @@ def _cmd_simulate_sheet(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     tol_se = float(cfg["run"]["probe_tolerance_se"])
-    nodes = [
+    pairs = [
         ((round(fa[0] * grid.n_s), round(fa[1] * grid.n_t)),
          (round(fb[0] * grid.n_s), round(fb[1] * grid.n_t)))
         for fa, fb in _PROBE_FRACTIONS
     ]
-
-    def block(start, count):
-        incs = sample_cell_increments_batch(grid, NoiseSpec(mc["seed"], start, 1), count)
-        w = build_sheet(CellIncrements(incs, grid)).values
-        prods = [w[:, ia, ja, 0] * w[:, ib, jb, 0] for (ia, ja), (ib, jb) in nodes]
-        return prods, (w[0].copy() if start == 0 else None)
-
-    parts = _map_blocks(block, mc["n_paths"], SHEET_CHUNK, mc["workers"])
+    w, w0 = sample_sheet_nodes(grid, mc["seed"], mc["n_paths"],
+                               [node for pair in pairs for node in pair], mc["workers"])
     probes = []
     ok = True
-    for k, ((ia, ja), (ib, jb)) in enumerate(nodes):
-        prod = np.concatenate([prods[k] for prods, _ in parts])
+    for k, ((ia, ja), (ib, jb)) in enumerate(pairs):
+        prod = w[:, 2 * k] * w[:, 2 * k + 1]
         want = min(ia * grid.ds, ib * grid.ds) * min(ja * grid.dt, jb * grid.dt)
         got = float(np.mean(prod))
         se = float(np.std(prod, ddof=1)) / np.sqrt(mc["n_paths"])
@@ -86,7 +75,7 @@ def _cmd_simulate_sheet(cfg):
         })
     report = {"kind": "sheet-covariance", "probes": probes, "all_pass": bool(ok),
               "n_paths": mc["n_paths"], "tolerance_se": tol_se}
-    field = SheetField(parts[0][1], grid) if cfg["run"]["field_dump"] else None
+    field = SheetField(w0, grid) if cfg["run"]["field_dump"] else None
     return report, ok, field
 
 
@@ -94,16 +83,7 @@ def _cmd_sample_ou(cfg):
     grid = grid_from_config(cfg)
     mc = cfg["mc"]
     n = mc["n_paths"]
-
-    def block(start, count):
-        spec = NoiseSpec(mc["seed"], start, 1)
-        exact = sample_ou_exact_batch(grid, spec, count)[:, -1, -1, 0].copy()
-        fld = _ou_field(grid, spec, count).values
-        return exact, fld[:, -1, -1, 0].copy(), (fld[0].copy() if start == 0 else None)
-
-    parts = _map_blocks(block, n, SHEET_CHUNK, mc["workers"])
-    exact = np.concatenate([p[0] for p in parts])
-    solved = np.concatenate([p[1] for p in parts])
+    exact, solved, field0 = sample_ou_corner(grid, mc["seed"], n, mc["workers"])
     ks = _scipy_stats.ks_2samp(exact, solved)
     level = float(cfg["run"]["ks_level"])
     ok = bool(ks.pvalue >= level)
@@ -113,7 +93,7 @@ def _cmd_sample_ou(cfg):
         "n_paths": n, "node": [grid.n_s, grid.n_t],
         "exact_var": float(np.var(exact, ddof=1)), "solved_var": float(np.var(solved, ddof=1)),
     }
-    field = SheetField(parts[0][2], grid) if cfg["run"]["field_dump"] else None
+    field = SheetField(field0, grid) if cfg["run"]["field_dump"] else None
     return report, ok, field
 
 

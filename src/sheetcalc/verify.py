@@ -9,10 +9,11 @@ is bit-identical for any worker count.  A non-finite sample, or a solver
 failure inside a block, raises `NumericsError` naming the global path index.
 
 `pool_map` is the package's one thread pool: an ordered map of a function
-over a list of items.  `_map_blocks` runs path blocks on it, and the rules
-suite (`rules.run_rules`) and the `sample-ou` and `simulate-sheet` commands
-use it too.  Numpy releases the GIL in its array loops, so independent
-items overlap on threads.
+over a list of items.  `_map_blocks` runs path blocks on it, for the paired
+checks here and for the whole-sheet samplers behind `simulate-sheet` and
+`sample-ou` (`sample_sheet_nodes`, `sample_ou_corner`); the rules suite
+(`rules.run_rules`) maps its rules on it.  Numpy releases the GIL in its
+array loops, so independent items overlap on threads.
 
 Reports carry no digest: the command line digests the expanded config
 (`config.config_digest`) and adds it to the outputs it writes.
@@ -43,11 +44,16 @@ from .lattice import (
 )
 from .malliavin import apply_L, compute_malliavin_line, solve_state_line
 from .models import Model
-from .sheet import solve_ou_hyperbolic
+from .sheet import build_sheet, sample_ou_exact_batch, solve_ou_hyperbolic
 
 LINE_CHUNK = 16384   # paths per block for one-line runs
 FIELD_CHUNK = 4096   # paths per block when a full OU field is needed
 HYP_CHUNK = 2048     # paths per block for general hyperbolic sweeps
+# Paths per block for the whole-sheet samplers (`sample_sheet_nodes`,
+# `sample_ou_corner`).  Measured on the shipped sheet-covariance (8x8 grid,
+# 10000 paths) and ou-cross-validation (16x64 grid, 10000 paths) configs:
+# 512-path blocks are faster than one whole batch even at one worker.
+SHEET_CHUNK = 512
 
 
 @dataclass
@@ -222,6 +228,40 @@ def _ou_field(grid: Grid, spec: NoiseSpec, count):
     zb = sample_boundary_bm(grid.n_s, grid.ds, spec.m, spec, batch=count)
     incs = CellIncrements(sample_cell_increments_batch(grid, spec, count), grid)
     return solve_ou_hyperbolic(grid, zb, incs)
+
+
+def sample_sheet_nodes(grid: Grid, seed: int, n_paths: int, nodes, workers: int = 1):
+    """Brownian sheet at the lattice `nodes` [(i, j), ...] for paths 0..n_paths-1.
+
+    Returns (values of shape (n_paths, len(nodes)), the whole field of path 0).
+    """
+
+    def block(start, count):
+        incs = sample_cell_increments_batch(grid, NoiseSpec(seed, start, 1), count)
+        w = build_sheet(CellIncrements(incs, grid)).values
+        at = np.stack([w[:, i, j, 0] for i, j in nodes], axis=1)
+        return at, (w[0].copy() if start == 0 else None)
+
+    parts = _map_blocks(block, n_paths, SHEET_CHUNK, workers)
+    return np.concatenate([p[0] for p in parts]), parts[0][1]
+
+
+def sample_ou_corner(grid: Grid, seed: int, n_paths: int, workers: int = 1):
+    """OU sheet at the far corner (n_s, n_t), sampled exactly and by the
+    hyperbolic solve on the same noise, for paths 0..n_paths-1.
+
+    Returns (exact, solved, the whole solved field of path 0).
+    """
+
+    def block(start, count):
+        spec = NoiseSpec(seed, start, 1)
+        exact = sample_ou_exact_batch(grid, spec, count)[:, -1, -1, 0].copy()
+        fld = _ou_field(grid, spec, count).values
+        return exact, fld[:, -1, -1, 0].copy(), (fld[0].copy() if start == 0 else None)
+
+    parts = _map_blocks(block, n_paths, SHEET_CHUNK, workers)
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]), parts[0][2])
 
 
 def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: int,
