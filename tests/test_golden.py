@@ -9,20 +9,28 @@ A pin changes only on purpose.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and record in CHANGES.md which pins moved and why.
+and record in CHANGES.md which pins moved and why.  The same command
+regenerates ``golden/expanded_pins.json``, the bytes of the
+``expanded-config.json`` that each shipped config writes as it stands.
 """
 
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from sheetcalc import cli
 from sheetcalc.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = Path(__file__).resolve().parent / "golden" / "pins.json"
+EXPANDED_PINS = PINS.with_name("expanded_pins.json")
+SHIPPED = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
 OUTPUTS = ("report.json", "report.csv", "field.csv")
 
 # case -> (shipped config, mc overrides).  The multi-block cases span two
@@ -86,6 +94,22 @@ def run_case(case, outdir: Path) -> dict:
     return run_config(*CASES[case], outdir)
 
 
+def expanded_digest(config, workdir: Path) -> str:
+    """sha256 of the expanded-config.json that a shipped config writes.
+
+    The config runs unchanged from `workdir`, so its relative output
+    directory lands there and the file holds no machine-specific path; the
+    command's handler is stubbed out, since the file is written before it
+    runs.
+    """
+    stub = dict.fromkeys(cli._DISPATCH, lambda cfg: ({"kind": "stub"}, True, None))
+    with mock.patch.dict(cli._DISPATCH, stub), contextlib.chdir(workdir):
+        assert run(str(ROOT / "configs" / f"{config}.json")) == 0
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        data = (Path(cfg["output"]["directory"]) / "expanded-config.json").read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_pins(case, tmp_path, monkeypatch):
     monkeypatch.delenv("OUTPUT_DIR", raising=False)
@@ -93,15 +117,23 @@ def test_golden_pins(case, tmp_path, monkeypatch):
     assert run_case(case, tmp_path / "out") == pins[case]
 
 
+@pytest.mark.parametrize("config", SHIPPED)
+def test_expanded_config_pins(config, tmp_path, monkeypatch):
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+    pins = json.loads(EXPANDED_PINS.read_text())
+    assert expanded_digest(config, tmp_path) == pins[config]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden.py --update")
-    import os
     import tempfile
 
     os.environ.pop("OUTPUT_DIR", None)
     with tempfile.TemporaryDirectory() as tmp:
         pins = {case: run_case(case, Path(tmp) / case) for case in sorted(CASES)}
+        expanded = {config: expanded_digest(config, Path(tmp)) for config in SHIPPED}
     PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(pins)} pins to {PINS}")
+    for path, table in ((PINS, pins), (EXPANDED_PINS, expanded)):
+        path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(table)} pins to {path}")
