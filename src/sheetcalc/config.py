@@ -1,9 +1,11 @@
-"""Experiment configuration: validation, preset expansion, the digest.
+"""Experiment configuration: the declared schema, preset expansion, the digest.
 
 A config is a JSON tree with sections grid / model / mc / run / output.
-Before execution every preset is expanded to its fully explicit form; the
-expanded tree is written next to the outputs, and re-running that file
-reproduces the run byte for byte (for the same worker count).
+`SCHEMA` declares every key once: its type, shape, range or choices and
+default.  `expand_config` checks a raw tree against it, naming the dotted key
+of the first bad value (the command line exits 2 on it), and expands every
+preset to its explicit form; re-running the expanded tree, written next to
+the outputs, reproduces the run byte for byte (at the same worker count).
 
 `config_digest` is the package's only digest: the command line embeds it in
 every report it writes.  Reports returned by the library runners in
@@ -16,67 +18,174 @@ import copy
 import hashlib
 import json
 import os
-
-import numpy as np
+import sys
+from typing import NamedTuple
 
 from .errors import ConfigurationError
-from .lattice import Grid
-from .models import MODEL_PRESETS, PAYOFF_PRESETS, model_from_config
+from .hyperbolic import COEFFICIENT_PRESETS
+from .models import MODEL_PRESETS, model_from_config
 
-COMMANDS = (
-    "simulate-sheet",
-    "sample-ou",
-    "verify-rules",
-    "solve-hyperbolic",
-    "run-ibp",
-    "run-bismut",
-    "run-reversibility",
-    "holder-scan",
-)
+COMMANDS = ("simulate-sheet", "sample-ou", "verify-rules", "solve-hyperbolic", "run-ibp",
+            "run-bismut", "run-reversibility", "holder-scan")
+REQUIRED = "required"
 
-_RUN_DEFAULTS = {
-    "payoff_f": {"preset": "coordinate"},
-    "payoff_g": {"preset": "coordinate"},
-    "t_gap": 0.25,
-    "lags": [0.0625, 0.125, 0.25],
-    "alpha": 2.0,
-    "target": "sheet",
-    "system": "zero",
-    "blowup_M": None,
-    "fault": None,
-    "component": 0,
-    "assert_z": 3.0,
-    "ks_level": 0.01,
-    "slope_range": None,
-    "probe_tolerance_se": 4.0,
-    "field_dump": False,
+
+class Key(NamedTuple):
+    """One config key.  type: int (lo <= v < hi), float (a finite number,
+    lo < v < hi), bool, str (non-empty), list (checked by its reader),
+    "payoff" (a preset name, or an object of a preset and its options) or a
+    tuple of the allowed strings.  A bound None is open, and the bound "d" is
+    the model's dimension.  shape: None, or the (min, max) length of a list
+    of such values.  desc replaces the generated description in errors.
+    """
+
+    type: object
+    range: tuple = (None, None)
+    default: object = REQUIRED
+    shape: tuple = None
+    null: bool = False
+    desc: str = None
+
+
+_POSITIVE = (0, None)
+_J = Key(int, (0, "d"), 0)
+PAYOFF_OPTIONS = {"coordinate": {"j": _J}, "square": {"j": _J},
+                  "constant": {"c": Key(float, default=1.0)}}
+_X0 = Key(float, default=None, shape=("d", "d"),
+          desc="the model x0 as a list of d finite numbers")
+
+SCHEMA = {
+    "grid": {
+        "n_s": Key(int, (1, None)),
+        "n_t": Key(int, (1, None)),
+        "ds": Key(float, _POSITIVE),
+        "dt": Key(float, _POSITIVE),
+    },
+    # the explicit model form; a preset takes only "x0" besides (_MODEL_PRESET)
+    "model": {
+        "name": Key(str, default="custom"),
+        "d": Key(int, (1, None)),
+        "m": Key(int, (1, None)),
+        "x0": _X0,
+        "fields": Key(list, desc="a list of m+1 monomial tables"),
+    },
+    "mc": {
+        "n_paths": Key(int, (1, None), 1000),
+        "seed": Key(int, (0, 2**64), 0),
+        "workers": Key(int, (1, None), 1),
+    },
+    "run": {
+        "command": Key(COMMANDS),
+        "payoff_f": Key("payoff", default={"preset": "coordinate"}),
+        "payoff_g": Key("payoff", default={"preset": "coordinate"}),
+        "t_gap": Key(float, _POSITIVE, 0.25),
+        "lags": Key(float, _POSITIVE, [0.0625, 0.125, 0.25], shape=(3, None)),
+        "alpha": Key(float, _POSITIVE, 2.0),
+        "target": Key(("sheet", "x", "u", "p"), default="sheet"),
+        "system": Key(tuple(COEFFICIENT_PRESETS), default="zero"),
+        "blowup_M": Key(float, _POSITIVE, None, null=True),
+        "fault": Key(("flip-r-sign",), default=None, null=True),
+        "component": Key(int, (0, "d"), 0),
+        "assert_z": Key(float, _POSITIVE, 3.0),
+        "ks_level": Key(float, (0, 1), 0.01),
+        "slope_range": Key(float, default=None, shape=(2, 2), null=True),
+        "probe_tolerance_se": Key(float, _POSITIVE, 4.0),
+        "field_dump": Key(bool, default=False),
+    },
+    "output": {
+        "directory": Key(str, default="out"),
+        "formats": Key(("json", "csv"), default=["json", "csv"], shape=(0, None)),
+    },
 }
+_MODEL_PRESET = {"preset": Key(tuple(MODEL_PRESETS)), "x0": _X0}
+_SECTION_DEFAULTS = {"model": {"preset": "linear1d"}, "mc": {}, "run": {}, "output": {}}
+
+
+def _bounds(pair, ctx):
+    return [ctx.get(b) if isinstance(b, str) else b for b in pair]
+
+
+def _valid(v, key, ctx) -> bool:
+    """Whether v is one value of key's type, in its range."""
+    t = key.type
+    if t is int or t is float:
+        lo, hi = _bounds(key.range, ctx)
+        return (not isinstance(v, bool) and isinstance(v, int if t is int else (int, float))
+                and (t is int or abs(v) <= sys.float_info.max)
+                and (lo is None or (v >= lo if t is int else v > lo))
+                and (hi is None or v < hi))
+    if t in (bool, str, list):
+        return isinstance(v, t) and v != ""
+    return isinstance(v, str) and v in t
+
+
+def _describe(key, ctx) -> str:
+    t = key.type
+    what = key.desc or {int: "an integer", float: "a finite number", bool: "true or false",
+                        str: "a non-empty string"}.get(t) or f"one of {list(t)}"
+    lo, hi = _bounds(key.range, ctx)
+    if lo is not None:
+        what += f" >= {lo}" if t is int else f" > {lo}"
+    if hi is not None:
+        what += f" and < {hi}"
+    if key.shape and not key.desc:
+        lo, hi = key.shape
+        what = f"a list of {lo}{'' if lo == hi else ' or more'} entries, each {what}"
+    return what + " or null" if key.null else what
+
+
+def _check(v, key, path, ctx):
+    """v, if it is a valid value of key; else a ConfigurationError naming path."""
+    if key.type == "payoff":
+        return _check_payoff(v, path, ctx)
+    if key.shape is None:
+        ok = _valid(v, key, ctx)
+    else:
+        lo, hi = _bounds(key.shape, ctx)
+        ok = (isinstance(v, list) and (lo or 0) <= len(v) <= (hi or len(v))
+              and all(_valid(e, key, ctx) for e in v))
+    if not (ok or v is None and key.null):
+        raise ConfigurationError(f"{path}: expected {_describe(key, ctx)}, got {v!r}")
+    return v
+
+
+def _check_section(table, sec, path, ctx) -> dict:
+    """sec checked key by key against table, with the defaults filled in."""
+    if not isinstance(sec, dict):
+        raise ConfigurationError(f"{path}: expected an object, got {sec!r}")
+    for name in sec:
+        if name not in table:
+            raise ConfigurationError(f"{path}.{name}: unknown key; known: {list(table)}")
+    out = {}
+    for name, key in table.items():
+        if name not in sec and key.default is REQUIRED:
+            raise ConfigurationError(f"{path}.{name}: missing")
+        out[name] = (_check(sec[name], key, f"{path}.{name}", ctx) if name in sec
+                     else copy.deepcopy(key.default))
+    return out
+
+
+def _check_payoff(v, path, ctx) -> dict:
+    """A payoff preset name, or an object of a preset and its options."""
+    if isinstance(v, str):
+        v = {"preset": v}
+    if not isinstance(v, dict):
+        raise ConfigurationError(f"{path}: expected a payoff preset name or object, got {v!r}")
+    preset = _check(v.get("preset"), Key(tuple(PAYOFF_OPTIONS)), f"{path}.preset", ctx)
+    options = {k: x for k, x in v.items() if k != "preset"}
+    _check_section(PAYOFF_OPTIONS[preset], options, path, ctx)
+    return v
 
 
 def config_digest(expanded: dict) -> str:
-    """Digest of the experiment-defining sections: the first 16 hex digits
-    of the sha256 of their canonical JSON.
-
-    The output sink and the worker count are resource knobs, not part of an
-    experiment's identity: results are combined in fixed block order, so any
-    worker count yields the same numbers (the count is still recorded in
-    reports).
-    """
+    """The first 16 hex digits of the sha256 of the canonical JSON of the
+    experiment-defining sections.  The output sink and the worker count are
+    resource knobs, not part of an experiment's identity: blocks combine in
+    fixed order, so any worker count yields the same numbers."""
     body = {k: v for k, v in expanded.items() if k != "output"}
     body["mc"] = {k: v for k, v in body["mc"].items() if k != "workers"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _need(cfg, section, key, typ, where):
-    if key not in cfg:
-        raise ConfigurationError(f"{where}.{key}: missing")
-    val = cfg[key]
-    if typ is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, typ):
-        raise ConfigurationError(f"{where}.{key}: expected {typ.__name__}, got {val!r}")
-    return val
 
 
 def load_config(path) -> dict:
@@ -90,94 +199,38 @@ def load_config(path) -> dict:
 
 
 def expand_config(raw: dict, workers=None, seed_override=None) -> dict:
-    """Validate and expand a raw config tree to its explicit form."""
+    """Check a raw config tree against `SCHEMA` and expand it to its explicit
+    form: run values stay as written, and a payoff name becomes {"preset": name}."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config: expected a JSON object at top level")
-    cfg = copy.deepcopy(raw)
-
-    gsec = cfg.get("grid")
-    if not isinstance(gsec, dict):
+    if "grid" not in raw:
         raise ConfigurationError("grid: missing section")
-    n_s = _need(gsec, "grid", "n_s", int, "grid")
-    n_t = _need(gsec, "grid", "n_t", int, "grid")
-    ds = _need(gsec, "grid", "ds", float, "grid")
-    dt = _need(gsec, "grid", "dt", float, "grid")
-    if n_s < 1:
-        raise ConfigurationError(f"grid.n_s: must be >= 1, got {n_s}")
-    if n_t < 1:
-        raise ConfigurationError(f"grid.n_t: must be >= 1, got {n_t}")
-    if not ds > 0:
-        raise ConfigurationError(f"grid.ds: must be > 0, got {ds}")
-    if not dt > 0:
-        raise ConfigurationError(f"grid.dt: must be > 0, got {dt}")
-    grid = {"n_s": n_s, "n_t": n_t, "ds": ds, "dt": dt}
+    cfg = {**_SECTION_DEFAULTS, **copy.deepcopy(raw)}
+    for name in cfg:
+        if name not in SCHEMA:
+            raise ConfigurationError(f"{name}: unknown section; known: {list(SCHEMA)}")
 
-    msec = cfg.get("model", {"preset": "linear1d"})
+    grid = _check_section(SCHEMA["grid"], cfg["grid"], "grid", {})
+    grid["ds"], grid["dt"] = float(grid["ds"]), float(grid["dt"])
+
+    msec = cfg["model"]
     if isinstance(msec, str):
         msec = {"preset": msec}
-    if "preset" in msec and msec["preset"] not in MODEL_PRESETS:
-        raise ConfigurationError(f"model.preset: unknown preset {msec['preset']!r}")
-    model = model_from_config(msec)  # raises ConfigurationError on bad tables
-    model_cfg = model.config
+    preset = isinstance(msec, dict) and "preset" in msec
+    _check_section(_MODEL_PRESET if preset else SCHEMA["model"], msec, "model", {})
+    try:
+        model = model_from_config(msec)
+    except ConfigurationError as exc:  # every other model key is checked by now
+        raise ConfigurationError(f"model.fields: {exc}") from exc
+    ctx = {"d": model.vf.d}
+    if "x0" in msec:
+        _check(msec["x0"], _X0, "model.x0", ctx)
 
-    mc = cfg.get("mc", {})
-    n_paths = mc.get("n_paths", 1000)
-    seed = mc.get("seed", 0)
-    wk = mc.get("workers", 1)
-    if seed_override is not None:
-        seed = seed_override
-    if workers is not None:
-        wk = workers
-    if not isinstance(n_paths, int) or n_paths < 1:
-        raise ConfigurationError(f"mc.n_paths: must be a positive integer, got {n_paths!r}")
-    if not isinstance(seed, int) or not (0 <= seed < 2**64):
-        raise ConfigurationError(f"mc.seed: must be a 64-bit unsigned integer, got {seed!r}")
-    if not isinstance(wk, int) or wk < 1:
-        raise ConfigurationError(f"mc.workers: must be a positive integer, got {wk!r}")
-
-    rsec = cfg.get("run", {})
-    command = rsec.get("command")
-    if command not in COMMANDS:
-        raise ConfigurationError(
-            f"run.command: expected one of {list(COMMANDS)}, got {command!r}"
-        )
-    run = dict(_RUN_DEFAULTS)
-    for key, val in rsec.items():
-        if key != "command" and key not in _RUN_DEFAULTS:
-            raise ConfigurationError(f"run.{key}: unknown option")
-        run[key] = val
-    run["command"] = command
-    for pk in ("payoff_f", "payoff_g"):
-        pv = run[pk]
-        if isinstance(pv, str):
-            pv = {"preset": pv}
-        if not isinstance(pv, dict) or pv.get("preset") not in PAYOFF_PRESETS:
-            raise ConfigurationError(f"run.{pk}: unknown payoff {run[pk]!r}")
-        run[pk] = pv
-    if run["fault"] not in (None, "flip-r-sign"):
-        raise ConfigurationError(f"run.fault: unknown fault {run['fault']!r}")
-
-    out = cfg.get("output", {})
-    directory = os.environ.get("OUTPUT_DIR", out.get("directory", "out"))
-    formats = out.get("formats", ["json", "csv"])
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
-
-    return {
-        "grid": grid,
-        "model": model_cfg,
-        "mc": {"n_paths": n_paths, "seed": seed, "workers": wk},
-        "run": run,
-        "output": {"directory": directory, "formats": list(formats)},
-    }
-
-
-def grid_from_config(expanded: dict) -> Grid:
-    g = expanded["grid"]
-    return Grid(g["n_s"], g["n_t"], g["ds"], g["dt"])
-
-
-def blowup_from_config(expanded: dict) -> float:
-    M = expanded["run"]["blowup_M"]
-    return np.inf if M is None else float(M)
+    mc = _check_section(SCHEMA["mc"], cfg["mc"], "mc", ctx)
+    for name, val in (("seed", seed_override), ("workers", workers)):
+        if val is not None:
+            mc[name] = _check(val, SCHEMA["mc"][name], f"mc.{name}", ctx)
+    run = _check_section(SCHEMA["run"], cfg["run"], "run", ctx)
+    out = _check_section(SCHEMA["output"], cfg["output"], "output", ctx)
+    out["directory"] = os.environ.get("OUTPUT_DIR", out["directory"])
+    return {"grid": grid, "model": model.config, "mc": mc, "run": run, "output": out}

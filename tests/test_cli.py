@@ -1,13 +1,14 @@
 """Command line front end: dispatch, exit codes, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from sheetcalc.cli import _DISPATCH, run
 from sheetcalc.config import COMMANDS, config_digest, expand_config
-from test_golden import run_config
+from test_golden import ROOT, SHIPPED, run_config
 
 # command -> (shipped config, n_paths): each size spans at least two path
 # blocks of its runner; verify-rules runs its rules as the pool's items.
@@ -49,7 +50,120 @@ def _cfg(tmp_path, outname="out", **overrides):
     return cfg
 
 
+DELETE = "<delete>"
+INF = math.inf
+LINEAR_FIELDS = [[[]], [[[1.0, [1]]]]]
+
+# (dotted key, bad value, key the message must name if not the same).  Each
+# value is written into the expanded form of every shipped config, where
+# every key is explicit, and DELETE removes the key instead.
+MUTATIONS = [
+    ("grid", 5, None), ("grid", None, None), ("model", 5, None), ("mc", 5, None),
+    ("run", 5, None), ("output", 5, None), ("extra", {}, None),
+    ("grid.n_s", 0, None), ("grid.n_s", 1.5, None), ("grid.n_s", True, None),
+    ("grid.n_s", "8", None), ("grid.n_s", DELETE, None), ("grid.n_t", -1, None),
+    ("grid.ds", 0, None), ("grid.ds", -0.5, None), ("grid.ds", True, None),
+    ("grid.ds", "x", None), ("grid.ds", INF, None), ("grid.ds", math.nan, None),
+    ("grid.dt", INF, None), ("grid.dt", [0.5], None), ("grid.n_x", 4, None),
+    ("model", "nope", "model.preset"), ("model", {"preset": "nope"}, "model.preset"),
+    ("model", {"preset": "linear1d", "d": 1}, "model.d"),
+    ("model", {"preset": "linear1d", "x0": [1.0, 2.0]}, "model.x0"),
+    ("model", {"preset": "linear1d", "x0": ["a"]}, "model.x0"),
+    ("model.name", 5, None), ("model.name", "", None), ("model.d", 0, None),
+    ("model.d", True, None), ("model.d", "1", None), ("model.d", 1.5, None),
+    ("model.m", 0, None), ("model.m", True, None), ("model.m", DELETE, None),
+    ("model.x0", "x", None), ("model.x0", 1.0, None), ("model.x0", ["a"], None),
+    ("model.x0", [1.0, 2.0], None), ("model.x0", [INF], None), ("model.x0", [True], None),
+    ("model.fields", 5, None), ("model.fields", [], None), ("model.fields", {"0": [[]]}, None),
+    ("model.fields", [[[]], [[["one", [1]]]]], None),
+    ("model.fields", [[[]], [[[True, [1]]]]], None),
+    ("model.fields", [[[]], [[["1", [1]]]]], None),
+    ("model.fields", [[[]], [[[INF, [1]]]]], None),
+    ("model.fields", [[[]], [[[1.0, [1.5]]]]], None),
+    ("model.fields", [[[]], [[[1.0, [-1]]]]], None),
+    ("model.fields", [[[]], [[[1.0, [1, 0]]]]], None),
+    ("model.frobnicate", 1, None),
+    ("mc.n_paths", 0, None), ("mc.n_paths", 1.5, None), ("mc.n_paths", True, None),
+    ("mc.n_paths", "x", None), ("mc.seed", -1, None), ("mc.seed", 2**64, None),
+    ("mc.seed", True, None), ("mc.seed", 0.5, None), ("mc.workers", 0, None),
+    ("mc.workers", True, None), ("mc.workers", "2", None), ("mc.n_path", 5, None),
+    ("run.command", "nope", None), ("run.command", 5, None), ("run.command", DELETE, None),
+    ("run.payoff_f", "nope", "run.payoff_f.preset"), ("run.payoff_f", 5, None),
+    ("run.payoff_f", {}, "run.payoff_f.preset"),
+    ("run.payoff_f", {"preset": "coordinate", "j": 1}, "run.payoff_f.j"),
+    ("run.payoff_f", {"preset": "coordinate", "j": -1}, "run.payoff_f.j"),
+    ("run.payoff_f", {"preset": "square", "j": True}, "run.payoff_f.j"),
+    ("run.payoff_f", {"preset": "coordinate", "k": 1}, "run.payoff_f.k"),
+    ("run.payoff_g", {"preset": "constant", "c": "abc"}, "run.payoff_g.c"),
+    ("run.payoff_g", {"preset": "constant", "c": INF}, "run.payoff_g.c"),
+    ("run.payoff_g", {"preset": "constant", "c": True}, "run.payoff_g.c"),
+    ("run.t_gap", "x", None), ("run.t_gap", 0, None), ("run.t_gap", True, None),
+    ("run.t_gap", INF, None), ("run.lags", 5, None), ("run.lags", [0.0625, 0.125], None),
+    ("run.lags", [0.0625, "x", 0.25], None), ("run.lags", [0.0625, 0.125, -0.25], None),
+    ("run.alpha", "x", None), ("run.alpha", 0, None), ("run.alpha", True, None),
+    ("run.target", "nope", None), ("run.target", 5, None),
+    ("run.system", "nope", None), ("run.system", None, None),
+    ("run.blowup_M", "x", None), ("run.blowup_M", 0, None), ("run.blowup_M", True, None),
+    ("run.fault", "nope", None), ("run.fault", True, None),
+    ("run.component", 7, None), ("run.component", -1, None), ("run.component", -5, None),
+    ("run.component", 0.5, None), ("run.component", True, None),
+    ("run.assert_z", "x", None), ("run.assert_z", 0, None), ("run.assert_z", True, None),
+    ("run.ks_level", "x", None), ("run.ks_level", 0, None), ("run.ks_level", 1.5, None),
+    ("run.slope_range", [1], None), ("run.slope_range", 5, None),
+    ("run.slope_range", [0.9, "x"], None),
+    ("run.probe_tolerance_se", "x", None), ("run.probe_tolerance_se", -1, None),
+    ("run.field_dump", "yes", None), ("run.field_dump", 1, None),
+    ("run.field_dump", None, None), ("run.frobnicate", True, None),
+    ("output.directory", 5, None), ("output.directory", "", None),
+    ("output.directory", None, None), ("output.formats", 5, None),
+    ("output.formats", "json", None), ("output.formats", ["pdf"], None),
+    ("output.formats", [5], None), ("output.formatz", [], None),
+]
+
+
+def _mutated(base, key, value):
+    cfg = json.loads(json.dumps(base))
+    *parents, last = key.split(".")
+    sec = cfg
+    for name in parents:
+        sec = sec[name]
+    if value is DELETE:
+        del sec[last]
+    else:
+        sec[last] = value
+    return cfg
+
+
 class TestValidation:
+    def test_mutation_table_covers_every_run_key(self, tmp_path):
+        keys = {key for key, _, _ in MUTATIONS}
+        expanded = expand_config(_cfg(tmp_path))
+        for section, body in expanded.items():
+            assert section in keys
+            assert {f"{section}.{k}" for k in body} <= keys
+
+    @pytest.mark.parametrize("key, value, named", MUTATIONS,
+                             ids=[f"{k}={v!r}" for k, v, _ in MUTATIONS])
+    def test_every_bad_value_exits_2(self, tmp_path, monkeypatch, capsys, key, value, named):
+        monkeypatch.delenv("OUTPUT_DIR", raising=False)
+        for config in SHIPPED:
+            base = expand_config(json.loads((ROOT / "configs" / f"{config}.json").read_text()))
+            base["mc"]["n_paths"] = 16
+            base["output"]["directory"] = str(tmp_path / config)
+            path = _write(tmp_path, _mutated(base, key, value), f"{config}.json")
+            assert run(path) == 2, config
+            err = capsys.readouterr().err
+            assert f"configuration error: {named or key}:" in err, (config, err)
+            assert not (tmp_path / config / "report.json").exists()
+
+    def test_bismut_component_past_d_exits_2(self, tmp_path, capsys):
+        # R is (..., n+1, d): -1 used to report the last component silently
+        cfg = _cfg(tmp_path)
+        cfg["run"] = {"command": "run-bismut", "component": -1}
+        assert run(_write(tmp_path, cfg)) == 2
+        assert "run.component" in capsys.readouterr().err
+
+
     def test_every_command_has_a_handler(self):
         assert sorted(_DISPATCH) == sorted(COMMANDS)
 
