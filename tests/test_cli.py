@@ -135,7 +135,7 @@ def _mutated(base, key, value):
 
 
 class TestValidation:
-    def test_mutation_table_covers_every_run_key(self, tmp_path):
+    def test_mutation_table_covers_every_key(self, tmp_path):
         keys = {key for key, _, _ in MUTATIONS}
         expanded = expand_config(_cfg(tmp_path))
         for section, body in expanded.items():
