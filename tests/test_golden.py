@@ -14,7 +14,6 @@ regenerates ``golden/expanded_pins.json``, the bytes of the
 ``expanded-config.json`` that each shipped config writes as it stands.
 """
 
-import contextlib
 import hashlib
 import json
 import os
@@ -103,10 +102,16 @@ def expanded_digest(config, workdir: Path) -> str:
     runs.
     """
     stub = dict.fromkeys(cli._DISPATCH, lambda cfg: ({"kind": "stub"}, True, None))
-    with mock.patch.dict(cli._DISPATCH, stub), contextlib.chdir(workdir):
-        assert run(str(ROOT / "configs" / f"{config}.json")) == 0
-        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
-        data = (Path(cfg["output"]["directory"]) / "expanded-config.json").read_bytes()
+    path = ROOT / "configs" / f"{config}.json"
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with mock.patch.dict(cli._DISPATCH, stub):
+            assert run(str(path)) == 0
+        outdir = Path(json.loads(path.read_text())["output"]["directory"])
+        data = (outdir / "expanded-config.json").read_bytes()
+    finally:
+        os.chdir(cwd)
     return hashlib.sha256(data).hexdigest()
 
 
