@@ -52,7 +52,6 @@ def _cfg(tmp_path, outname="out", **overrides):
 
 DELETE = "<delete>"
 INF = math.inf
-LINEAR_FIELDS = [[[]], [[[1.0, [1]]]]]
 
 # (dotted key, bad value, key the message must name if not the same).  Each
 # value is written into the expanded form of every shipped config, where
