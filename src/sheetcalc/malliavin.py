@@ -24,12 +24,16 @@ running integral reads and writes one contiguous slab of all paths.  The
 arrays handed out keep the batch-first shapes (..., n+1, d) as
 `np.moveaxis` views, so they are in general not contiguous.  The running
 integrals add one step at a time (`_partial_sums`), in `np.cumsum`'s order.
+Products of stacked small matrices go through `_matmul`, elementwise in
+index order, never through a stacked `@`.
 
 `VectorFieldSet.euler_terms` evaluates everything one Euler step needs with
 each callback called once.  `compute_malliavin_line` evaluates X_1..X_m once
 per line; L, and with it every grad X and hess X callback it needs, is
 computed once on the first read of `MalliavinState.L`, so a caller that
-reads only U, C, R or Gamma never pays for it.
+reads only U, C, R or Gamma never pays for it.  That read calls each of
+those callbacks once over the whole line, then forms L's contractions and
+running integrals one step slab at a time.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ class MalliavinState:
     def uu_inv_drift(self) -> float:
         """Max |U U^{-1} - I|: tracked scheme error of the inverse recursion."""
         eye = np.eye(self.U.shape[-1])
-        return float(np.max(np.abs(self.U @ self.U_inv - eye)))
+        return float(np.max(np.abs(_matmul(self.U, self.U_inv) - eye)))
 
 
 def _line_values(z_line):
@@ -177,6 +181,27 @@ def _line_values(z_line):
 def _step_major(z):
     """A contiguous copy of a (..., n+1, m) line with the s-index first."""
     return np.ascontiguousarray(np.moveaxis(z, -2, 0))
+
+
+def _matmul(a, b):
+    """a @ b over stacks of small matrices, (..., p, q) times (..., q, r).
+
+    The q products of each entry are added in index order onto +0.0, so a
+    -0.0 product gives +0.0 as `@` and `np.einsum` do; at q = 1 this is the
+    one product `@` makes.  Elementwise over the whole stack, it costs what
+    one product does, where a stacked `@` calls BLAS once per matrix, and
+    its bits do not depend on the BLAS kernel numpy would pick.
+    """
+    out = a[..., :, :1] * b[..., :1, :]
+    out += 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def _matvec(a, v):
+    """_matmul of (..., p, q) and a stack of vectors (..., q)."""
+    return _matmul(a, v[..., None])[..., 0]
 
 
 def _partial_sums(terms):
@@ -229,8 +254,8 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
         x[k + 1] = xk + np.einsum("...am,...m->...a", diff, dz) + drift * ds
         M = np.einsum("...abm,...m->...ab", diff_jac, dz)
         A = M + drift_jac * ds
-        U[k + 1] = U[k] + A @ U[k]
-        U_inv[k + 1] = U_inv[k] @ (eye - A + A @ A)
+        U[k + 1] = U[k] + _matmul(A, U[k])
+        U_inv[k + 1] = _matmul(U_inv[k], eye - A + _matmul(A, A))
     x = np.moveaxis(x, 0, -2)
     if not np.all(np.isfinite(x[..., n, :])):
         # lowest path first, then its first bad node
@@ -241,6 +266,19 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
             path=tuple(int(v) for v in bad[0][:-2]),
         )
     return x, np.moveaxis(U, 0, -3), np.moveaxis(U_inv, 0, -3)
+
+
+def _uinv_hess(uinv, h):
+    """U^{-1} h for one slab: (..., d, d) times (..., d, d, d) -> (..., d, d, d)."""
+    d = h.shape[-1]
+    return _matmul(uinv, h.reshape(h.shape[:-2] + (d * d,))).reshape(h.shape)
+
+
+def _gamma_dot(h, gamma):
+    """sum_cd h[..., a, c, d] gamma[..., c, d] -> (..., a), c major."""
+    d = gamma.shape[-1]
+    flat = gamma.reshape(gamma.shape[:-2] + (1, 1, d * d))
+    return _matmul(flat, h.reshape(h.shape[:-2] + (d * d, 1)))[..., 0, 0]
 
 
 def compute_malliavin_line(
@@ -275,27 +313,34 @@ def compute_malliavin_line(
 
     def make_L():
         # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint
-        # weights on the dz contraction, left endpoint on the dr terms.
-        hs = np.stack([vf.hess_X[i](xs) for i in range(1, vf.m + 1)], axis=-1)
-        uinv_h = np.einsum("...ab,...bcdm->...acdm", Uis, hs)
-        gam_l = Gamma[:-1]
-        h_left = np.einsum("...acdm,...cd->...am", uinv_h[:-1], gam_l)
-        h_right = np.einsum("...acdm,...cd->...am", uinv_h[1:], gam_l)
-        t_hess_z = _partial_sums(
-            np.einsum("...am,...m->...a", 0.5 * (h_left + h_right), dz)
-        )
-        uinv_h0 = np.einsum("...ab,...bcd->...acd", Uis, vf.hess_X[0](xs))
-        t_hess_dr = _partial_sums(
-            np.einsum("...acd,...cd->...a", uinv_h0[:-1], gam_l) * ds
-        )
-        jx = np.zeros(xs.shape)
-        for i in range(1, vf.m + 1):
-            jx = jx + np.einsum("...ab,...b->...a", vf.grad_X[i](xs), X[i - 1])
-        t_bracket = _partial_sums(
-            np.einsum("...ab,...b->...a", Uis[:-1], jx[:-1]) * ds
-        )
+        # weights on the dz contraction, left endpoint on the dr terms.  Each
+        # callback runs once over the line; everything else is one step slab
+        # (*batch, ...) at a time, the integrals added in _partial_sums' order.
+        hess = [f(xs) for f in vf.hess_X]
+        grad = [vf.grad_X[i](xs) for i in range(1, vf.m + 1)]
         r_in_l = -R if fault == "flip-r-sign" else R
-        L = np.einsum("...ab,...b->...a", Us, r_in_l + t_hess_z + t_hess_dr + t_bracket)
+        L = np.empty(xs.shape)
+        t_hess_z = t_hess_dr = t_bracket = np.zeros(xs.shape[1:])
+        uinv_h = [_uinv_hess(Uis[0], h[0]) for h in hess[1:]]
+        for k in range(len(xs)):
+            L[k] = _matvec(Us[k], r_in_l[k] + t_hess_z + t_hess_dr + t_bracket)
+            if k == len(dz):
+                break
+            uinv_h_next = [_uinv_hess(Uis[k + 1], h[k + 1]) for h in hess[1:]]
+            mid = np.stack([0.5 * (_gamma_dot(left, Gamma[k]) + _gamma_dot(right, Gamma[k]))
+                            for left, right in zip(uinv_h, uinv_h_next)], axis=-1)
+            jx = _matvec(grad[0][k], X[0][k])
+            for i in range(1, vf.m):
+                jx = jx + _matvec(grad[i][k], X[i][k])
+            terms = (_matvec(mid, dz[k]),
+                     _gamma_dot(_uinv_hess(Uis[k], hess[0][k]), Gamma[k]) * ds,
+                     _matvec(Uis[k], jx) * ds)
+            if k == 0:
+                t_hess_z, t_hess_dr, t_bracket = terms
+            else:
+                t_hess_z, t_hess_dr, t_bracket = (
+                    t_hess_z + terms[0], t_hess_dr + terms[1], t_bracket + terms[2])
+            uinv_h = uinv_h_next
         return np.moveaxis(L, 0, -2)
 
     state = MalliavinState(

@@ -1,6 +1,8 @@
 """State lines, derivative flow, and the C/Gamma/R/L objects against the
 closed forms of the linear model (x = exp(z), Gamma = s x^2, L = x(s - z))."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from sheetcalc.lattice import Grid, NoiseSpec, cumsum0, sample_boundary_bm
 from sheetcalc.malliavin import (
     Payoff,
     VectorFieldSet,
+    _matmul,
     _partial_sums,
     apply_L,
     compute_malliavin_line,
@@ -205,6 +208,83 @@ class TestPartialSums:
         got = np.moveaxis(_partial_sums(np.moveaxis(terms, step_axis, 0)), 0, step_axis)
         assert got.shape == expect.shape
         assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def _index_order_matmul(a, b):
+    """a @ b with each entry summed in index order onto +0.0, one scalar at a time."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+    out = np.empty(batch + (a.shape[-2], b.shape[-1]))
+    for idx in np.ndindex(out.shape):
+        *p, i, j = idx
+        acc = 0.0
+        for k in range(a.shape[-1]):
+            acc = acc + a[(*p, i, k)] * b[(*p, k, j)]
+        out[idx] = acc
+    return out
+
+
+def _signed_values(rng, shape):
+    vals = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    vals[rng.random(shape) < 0.1] = 0.0
+    vals[rng.random(shape) < 0.1] = -0.0
+    return vals
+
+
+class TestMatmul:
+    def test_d1_bit_equal_to_matmul(self):
+        rng = np.random.default_rng(3)
+        a, b = _signed_values(rng, (64, 1, 1)), _signed_values(rng, (64, 1, 1))
+        a[:2, 0, 0], b[:2, 0, 0] = (-1.5, -0.0), (0.0, 2.5)  # two -0.0 products
+        got = _matmul(a, b)
+        assert (a * b)[:2].tobytes() == np.array([-0.0, -0.0]).tobytes()
+        assert got.tobytes() == (a @ b).tobytes()
+        assert not np.any(np.signbit(got[got == 0.0]))
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 2, 2), (5, 2, 2)), ((3, 3, 3), (3, 3, 3)), ((4, 3, 2), (4, 2, 5)),
+        ((2, 1, 3, 3), (4, 3, 1)), ((3, 3), (6, 3, 3)),
+    ])
+    def test_equals_index_order_sum(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]) + shapes[1][-1])
+        a, b = (_signed_values(rng, shape) for shape in shapes)
+        assert _matmul(a, b).tobytes() == _index_order_matmul(a, b).tobytes()
+
+    def test_batched_line_equals_each_unbatched_line(self):
+        vf = polynomial_fields(2, 2, [
+            [[(0.1, [1, 1])], [(-0.2, [0, 2])]],
+            [[(1.0, [0, 0])], [(0.5, [1, 0])]],
+            [[(0.25, [0, 1])], [(1.0, [0, 0])]],
+        ])
+        z, x0 = _zline(32, 6, 12, m=2), np.array([0.5, -0.5])
+        names = ("x", "U", "U_inv", "C", "Gamma", "R", "L")
+
+        def arrays(z_line):
+            x, U, Uinv = solve_state_line(vf, z_line, x0, 1.0 / 32)
+            st = compute_malliavin_line(vf, x, U, Uinv, z_line, 1.0 / 32)
+            return [np.ascontiguousarray(getattr(st, name)) for name in names]
+
+        batched = arrays(z)
+        for p in range(len(z)):
+            for name, whole, single in zip(names, batched, arrays(z[p])):
+                assert whole[p].tobytes() == single.tobytes(), (p, name)
+
+
+class TestLMemory:
+    def test_first_read_of_l_peaks_below_seven_line_arrays(self):
+        model = linear_1d()
+        z = _zline(128, 4096, 13)
+        x, U, Uinv = solve_state_line(model.vf, z, model.x0, DS)
+        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            st.L
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one line array is (paths, n+1, d) float64, the size of x and of L
+        assert (peak - start) / x.nbytes <= 7.0
 
 
 class TestMalliavinObjects:
