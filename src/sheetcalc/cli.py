@@ -10,6 +10,7 @@ so a rerun of the expanded config reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -227,6 +228,15 @@ def _write_csv(report: dict, path: str):
             ) + "\n")
 
 
+@contextlib.contextmanager
+def _output_errors():
+    """An OSError creating or writing the output directory is a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"output.directory: {exc}") from exc
+
+
 def run(config_path, assert_thresholds=False, workers=None, seed_override=None) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
@@ -234,21 +244,23 @@ def run(config_path, assert_thresholds=False, workers=None, seed_override=None) 
         cfg = expand_config(raw, workers=workers, seed_override=seed_override)
         digest = config_digest(cfg)
         outdir = cfg["output"]["directory"]
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "expanded-config.json"), "w") as fh:
-            json.dump(cfg, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        with _output_errors():
+            os.makedirs(outdir, exist_ok=True)
+            with open(os.path.join(outdir, "expanded-config.json"), "w") as fh:
+                json.dump(cfg, fh, sort_keys=True, indent=2)
+                fh.write("\n")
         report, ok, field = _DISPATCH[cfg["run"]["command"]](cfg)
         report["config_digest"] = digest
         report["command"] = cfg["run"]["command"]
-        if "json" in cfg["output"]["formats"]:
-            with open(os.path.join(outdir, "report.json"), "w") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        if "csv" in cfg["output"]["formats"]:
-            _write_csv(report, os.path.join(outdir, "report.csv"))
-        if field is not None:
-            dump_csv(field, os.path.join(outdir, "field.csv"))
+        with _output_errors():
+            if "json" in cfg["output"]["formats"]:
+                with open(os.path.join(outdir, "report.json"), "w") as fh:
+                    json.dump(report, fh, sort_keys=True, indent=2)
+                    fh.write("\n")
+            if "csv" in cfg["output"]["formats"]:
+                _write_csv(report, os.path.join(outdir, "report.csv"))
+            if field is not None:
+                dump_csv(field, os.path.join(outdir, "field.csv"))
     except (ConfigurationError, ModelError, ShapeError, DegenerateDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import ConfigurationError
 from .hyperbolic import COEFFICIENT_PRESETS
+from .lattice import Grid
 from .models import MODEL_PRESETS, model_from_config
 
 COMMANDS = ("simulate-sheet", "sample-ou", "verify-rules", "solve-hyperbolic", "run-ibp",
@@ -97,6 +98,8 @@ SCHEMA = {
         "formats": Key(("json", "csv"), default=["json", "csv"], shape=(0, None)),
     },
 }
+# run keys whose values must be t-nodes of the grid, by the command that reads them
+_T_NODE_KEYS = {"run-reversibility": "t_gap", "holder-scan": "lags"}
 _MODEL_PRESET = {"preset": Key(tuple(MODEL_PRESETS)), "x0": _X0}
 _SECTION_DEFAULTS = {"model": {"preset": "linear1d"}, "mc": {}, "run": {}, "output": {}}
 
@@ -231,6 +234,14 @@ def expand_config(raw: dict, workers=None, seed_override=None) -> dict:
         if val is not None:
             mc[name] = _check(val, SCHEMA["mc"][name], f"mc.{name}", ctx)
     run = _check_section(SCHEMA["run"], cfg["run"], "run", ctx)
+    name = _T_NODE_KEYS.get(run["command"])
+    if name is not None:
+        values = run[name] if isinstance(run[name], list) else [run[name]]
+        try:
+            for t in values:
+                Grid(**grid).t_index(t)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"run.{name}: {exc}") from exc
     out = _check_section(SCHEMA["output"], cfg["output"], "output", ctx)
     out["directory"] = os.environ.get("OUTPUT_DIR", out["directory"])
     return {"grid": grid, "model": model.config, "mc": mc, "run": run, "output": out}

@@ -99,6 +99,8 @@ MUTATIONS = [
     ("run.t_gap", "x", None), ("run.t_gap", 0, None), ("run.t_gap", True, None),
     ("run.t_gap", INF, None), ("run.lags", 5, None), ("run.lags", [0.0625, 0.125], None),
     ("run.lags", [0.0625, "x", 0.25], None), ("run.lags", [0.0625, 0.125, -0.25], None),
+    ("run", {"command": "run-reversibility", "t_gap": 0.3}, "run.t_gap"),
+    ("run", {"command": "holder-scan", "lags": [0.125, 0.25, 0.3]}, "run.lags"),
     ("run.alpha", "x", None), ("run.alpha", 0, None), ("run.alpha", True, None),
     ("run.target", "nope", None), ("run.target", 5, None),
     ("run.system", "nope", None), ("run.system", None, None),
@@ -154,6 +156,19 @@ class TestValidation:
             err = capsys.readouterr().err
             assert f"configuration error: {named or key}:" in err, (config, err)
             assert not (tmp_path / config / "report.json").exists()
+
+    def test_output_directory_below_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("OUTPUT_DIR", raising=False)
+        (tmp_path / "file").write_text("")
+        cfg = _cfg(tmp_path)
+        cfg["output"]["directory"] = str(tmp_path / "file" / "out")
+        assert run(_write(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith("configuration error: output.directory: ")
+
+    def test_off_grid_t_gap_ignored_by_commands_that_do_not_read_it(self, tmp_path):
+        cfg = _cfg(tmp_path, run={"command": "run-bismut", "t_gap": 0.3})
+        cfg["mc"]["n_paths"] = 16
+        assert run(_write(tmp_path, cfg)) == 0
 
     def test_bismut_component_past_d_exits_2(self, tmp_path, capsys):
         # R is (..., n+1, d): -1 used to report the last component silently
