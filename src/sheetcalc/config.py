@@ -237,9 +237,10 @@ def expand_config(raw: dict, workers=None, seed_override=None) -> dict:
     name = _T_NODE_KEYS.get(run["command"])
     if name is not None:
         values = run[name] if isinstance(run[name], list) else [run[name]]
+        nodes = Grid(**grid)
         try:
             for t in values:
-                Grid(**grid).t_index(t)
+                nodes.t_index(t)
         except ConfigurationError as exc:
             raise ConfigurationError(f"run.{name}: {exc}") from exc
     out = _check_section(SCHEMA["output"], cfg["output"], "output", ctx)

@@ -320,10 +320,12 @@ def compute_malliavin_line(
         grad = [vf.grad_X[i](xs) for i in range(1, vf.m + 1)]
         r_in_l = -R if fault == "flip-r-sign" else R
         L = np.empty(xs.shape)
-        t_hess_z = t_hess_dr = t_bracket = np.zeros(xs.shape[1:])
+        # the hess(X_i) o dz, hess(X0) dr and bracket integrals at node k
+        zero = np.zeros(xs.shape[1:])
+        sums = (zero, zero, zero)
         uinv_h = [_uinv_hess(Uis[0], h[0]) for h in hess[1:]]
         for k in range(len(xs)):
-            L[k] = _matvec(Us[k], r_in_l[k] + t_hess_z + t_hess_dr + t_bracket)
+            L[k] = _matvec(Us[k], r_in_l[k] + sums[0] + sums[1] + sums[2])
             if k == len(dz):
                 break
             uinv_h_next = [_uinv_hess(Uis[k + 1], h[k + 1]) for h in hess[1:]]
@@ -335,11 +337,7 @@ def compute_malliavin_line(
             terms = (_matvec(mid, dz[k]),
                      _gamma_dot(_uinv_hess(Uis[k], hess[0][k]), Gamma[k]) * ds,
                      _matvec(Uis[k], jx) * ds)
-            if k == 0:
-                t_hess_z, t_hess_dr, t_bracket = terms
-            else:
-                t_hess_z, t_hess_dr, t_bracket = (
-                    t_hess_z + terms[0], t_hess_dr + terms[1], t_bracket + terms[2])
+            sums = terms if k == 0 else tuple(s + t for s, t in zip(sums, terms))
             uinv_h = uinv_h_next
         return np.moveaxis(L, 0, -2)
 
