@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .config import config_digest, expand_config, load_config
 from .errors import ConfigurationError, DegenerateDataError, ModelError, NumericsError, \
@@ -79,7 +78,10 @@ def _cmd_sample_ou(cfg):
     mc = cfg["mc"]
     n = mc["n_paths"]
     exact, solved, field0 = sample_ou_corner(grid, mc["seed"], n, mc["workers"])
-    ks = _scipy_stats.ks_2samp(exact, solved)
+    # scipy.stats costs about 1 s to import; only this command needs it.
+    from scipy.stats import ks_2samp
+
+    ks = ks_2samp(exact, solved)
     level = float(cfg["run"]["ks_level"])
     ok = bool(ks.pvalue >= level)
     report = {

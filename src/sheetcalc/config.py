@@ -193,12 +193,16 @@ def config_digest(expanded: dict) -> str:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"config {path} is nested too deeply: {exc}") from exc
 
 
 def expand_config(raw: dict, workers=None, seed_override=None) -> dict:
@@ -208,7 +212,10 @@ def expand_config(raw: dict, workers=None, seed_override=None) -> dict:
         raise ConfigurationError("config: expected a JSON object at top level")
     if "grid" not in raw:
         raise ConfigurationError("grid: missing section")
-    cfg = {**_SECTION_DEFAULTS, **copy.deepcopy(raw)}
+    try:
+        cfg = {**_SECTION_DEFAULTS, **copy.deepcopy(raw)}
+    except RecursionError as exc:
+        raise ConfigurationError("config: nested too deeply") from exc
     for name in cfg:
         if name not in SCHEMA:
             raise ConfigurationError(f"{name}: unknown section; known: {list(SCHEMA)}")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +202,30 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(str(path)) == 2
+
+    # files that json.load or copy.deepcopy cannot take: Latin-1 text,
+    # arrays nested past json's and past deepcopy's recursion limit, and an
+    # integer past Python's digit limit for int()
+    UNREADABLE = {
+        "latin-1": (json.dumps({**BASE, "model": {"name": "caf\xe9"}}, ensure_ascii=False)
+                    .encode("latin-1"), "is not UTF-8"),
+        "deep-json": (b"[" * 100000 + b"]" * 100000, "is nested too deeply"),
+        "deep-copy": (json.dumps({**BASE, "x": "@"}).replace('"@"', "[" * 700 + "]" * 700)
+                      .encode(), "config: nested too deeply"),
+        "long-int": (json.dumps({**BASE, "mc": {"seed": "@"}}).replace('"@"', "1" * 5000)
+                     .encode(), "is not valid JSON"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        data, message = self.UNREADABLE[case]
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert run(str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err
+        if case != "deep-copy":
+            assert str(path) in err
 
     def test_unknown_run_option(self, tmp_path):
         cfg = _cfg(tmp_path)
@@ -439,3 +466,40 @@ class TestReproducibility:
         a = expand_config(_cfg(tmp_path, outname="a"))
         b = expand_config(_cfg(tmp_path, outname="b"))
         assert config_digest(a) == config_digest(b)
+
+
+def _fresh(tmp_path, *args):
+    """Run `python *args` in a fresh interpreter that imports this tree's
+    sheetcalc; pytest's own process has loaded scipy through other tests."""
+    env = {k: v for k, v in os.environ.items() if k != "OUTPUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestColdStart:
+    """scipy.stats costs about 1 s to import, and only sample-ou uses it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        out = _fresh(tmp_path, "-c", "import sys, sheetcalc, sheetcalc.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+    def test_simulate_sheet_loads_no_scipy_stats(self, tmp_path):
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 200})
+        cfg["run"] = {"command": "simulate-sheet"}
+        out = _fresh(tmp_path, "-c", "import sys; from sheetcalc import cli; "
+                     "print(cli.run(sys.argv[1]), 'scipy.stats' in sys.modules)",
+                     _write(tmp_path, cfg))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0 False\n"
+
+    def test_sample_ou_in_a_fresh_interpreter(self, tmp_path):
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 3000})
+        cfg["grid"] = {"n_s": 8, "n_t": 32, "ds": 0.125, "dt": 1.0 / 32}
+        cfg["run"] = {"command": "sample-ou"}
+        out = _fresh(tmp_path, "-m", "sheetcalc.cli", "--config", _write(tmp_path, cfg),
+                     "--assert")
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["ks_pvalue"] >= 0.01
