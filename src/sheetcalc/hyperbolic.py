@@ -15,9 +15,12 @@ every line:
 
 with u^{-1}, v^{-1} evolved by their own linear recursions (I - G + GG per
 step, never a per-cell inversion) and the second-order transports u*, v*
-by the stated bracket combinations.  (The printed forms of the u and v
-equations swap the b12/b21 labels into type-inconsistent slots; the b=0
-auxiliary system in the same source fixes the assignment used here.)
+by the stated bracket combinations.  Exchanging s and t maps the system
+onto itself (p, c, u trade places with q, e, v, and b12 with b21), so one
+transport step serves both directions, reading each direction's callbacks
+from its side table (`_Side`).  The printed u and v equations swap the
+b12/b21 labels into type-inconsistent slots; the b=0 auxiliary system in
+the same source fixes the assignment that the two side tables spell out.
 
 Initial data: u00 = v00 = I; u on the t-axis copies v there and vice versa
 on the s-axis; u* vanishes on the t-axis, v* on the s-axis.
@@ -50,6 +53,7 @@ just after node (a, 1).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -94,11 +98,9 @@ class CoefficientSet:
     c2: Optional[Callable] = None
     e1: Optional[Callable] = None
     e2: Optional[Callable] = None
-    probe_scale: float = 1.0
 
     def __post_init__(self):
-        z = normal_grid(0, 0, Stream.PROBE, 8, 1, 2 * self.d + 2 * self.n + 2 * self.m)
-        z = self.probe_scale * z[:, 0, :]
+        z = normal_grid(0, 0, Stream.PROBE, 8, 1, 2 * self.d + 2 * self.n + 2 * self.m)[:, 0, :]
         x = z[:, : self.d]
         xi = z[:, self.d : 2 * self.d]
         p = z[:, 2 * self.d : 2 * self.d + self.n]
@@ -238,10 +240,9 @@ def solve_system(
 
 def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     S, T = grid.n_s, grid.n_t
-    d, n, m = coeffs.d, coeffs.n, coeffs.m
     xb_s, xb_t, pb, qb = boundaries.arrays()
     w = incs.values
-    if w.shape[-3:] != (S, T, m):
+    if w.shape[-3:] != (S, T, coeffs.m):
         raise ShapeError(f"increments shaped {w.shape[-3:]} do not fit grid/model")
     if xb_s.shape[-2] != S + 1 or xb_t.shape[-2] != T + 1:
         raise ShapeError("x boundary lengths do not match the grid")
@@ -251,45 +252,7 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     if not np.array_equal(ca, cb, equal_nan=True):
         raise ConfigurationError("corner inconsistency: x_s0[0] differs from x_0t[0]")
 
-    batch = np.broadcast_shapes(
-        w.shape[:-3], xb_s.shape[:-2], xb_t.shape[:-2], pb.shape[:-2], qb.shape[:-2]
-    )
-    eye = np.eye(d)
-
-    def line(b):
-        """Boundary (..., k, c) as a node-major (k, *batch, c) view."""
-        return np.moveaxis(np.broadcast_to(b, batch + b.shape[-2:]), -2, 0)
-
-    # Node-major storage: x[i, j] is one contiguous (*batch, d) block.
-    x = np.zeros((S + 1, T + 1) + batch + (d,))
-    p = np.zeros((S + 1, T + 1) + batch + (n,))
-    q = np.zeros((S + 1, T + 1) + batch + (n,))
-    u = np.zeros((S + 1, T + 1) + batch + (d, d))
-    u_inv = np.zeros_like(u)
-    u_star = np.zeros((S + 1, T + 1) + batch + (d, d, d))
-    v = np.zeros_like(u)
-    v_inv = np.zeros_like(u)
-    v_star = np.zeros_like(u_star)
-    ds_x = np.zeros((S, T + 1) + batch + (d,))
-    dt_x = np.zeros((S + 1, T) + batch + (d,))
-    m_field = np.zeros((S + 1, T + 1) + batch)
-    blown = np.zeros((S + 1, T + 1) + batch, dtype=bool)
-
-    x[:, 0] = line(xb_s)
-    x[0, :] = line(xb_t)
-    p[0, :] = line(pb)
-    q[:, 0] = line(qb)
-    u[0, 0] = eye
-    u_inv[0, 0] = eye
-    v[0, 0] = eye
-    v_inv[0, 0] = eye
-    ds_x[:, 0] = line(np.diff(xb_s, axis=-2))
-    dt_x[0, :] = line(np.diff(xb_t, axis=-2))
-    # a view: a contiguous node-major copy of w would cost its full size
-    w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
-
-    ctx = _SweepContext(coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,
-                        ds_x, dt_x, m_field, blown, w, blowup_M, eye)
+    ctx = _SweepContext(coeffs, xb_s, xb_t, pb, qb, w, blowup_M)
     # the corner has no predecessor; its key sorts before every other node's
     corner = np.zeros(1, dtype=int)
     ctx._complete(corner, corner, s_pred=slice(0), t_pred=False)
@@ -312,13 +275,26 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
         return np.moveaxis(a, (0, 1), (a.ndim - trail - 2, a.ndim - trail - 1))
 
     return HyperbolicSolution(
-        x=batch_first(x, 1), p=batch_first(p, 1), q=batch_first(q, 1),
-        u=batch_first(u, 2), u_inv=batch_first(u_inv, 2), u_star=batch_first(u_star, 3),
-        v=batch_first(v, 2), v_inv=batch_first(v_inv, 2), v_star=batch_first(v_star, 3),
-        ds_x=batch_first(ds_x, 1), dt_x=batch_first(dt_x, 1),
-        domain_mask=batch_first(~blown, 0), m_field=batch_first(m_field, 0),
+        x=batch_first(ctx.x, 1), p=batch_first(ctx.p, 1), q=batch_first(ctx.q, 1),
+        u=batch_first(ctx.u, 2), u_inv=batch_first(ctx.u_inv, 2),
+        u_star=batch_first(ctx.u_star, 3),
+        v=batch_first(ctx.v, 2), v_inv=batch_first(ctx.v_inv, 2),
+        v_star=batch_first(ctx.v_star, 3),
+        ds_x=batch_first(ctx.ds_x, 1), dt_x=batch_first(ctx.dt_x, 1),
+        domain_mask=batch_first(~ctx.blown, 0), m_field=batch_first(ctx.m_field, 0),
         grid=grid, blowup_M=blowup_M,
     )
+
+
+# One transport direction: its step (di, dj), the companion and flow triple
+# it advances, and its coefficient slots.  `own` is the state's increment
+# along the step; slot b_kl takes k copies of it and l increments across
+# the step.  k1, k2 are the companion's c or e callbacks.
+_Side = namedtuple("_Side", "di dj comp flow flow_inv flow_star k1 k2 b11 b21 b12 b22")
+
+
+def _bind(fn, slot):
+    return None if fn is None else slot(fn)
 
 
 class _SweepContext:
@@ -330,19 +306,59 @@ class _SweepContext:
     (see the module docstring), so the smallest key is the node it names.
     """
 
-    def __init__(self, coeffs, x, p, q, u, u_inv, u_star, v, v_inv, v_star,
-                 ds_x, dt_x, m_field, blown, w, blowup_M, eye):
-        self.c = coeffs
-        self.x, self.p, self.q = x, p, q
-        self.u, self.u_inv, self.u_star = u, u_inv, u_star
-        self.v, self.v_inv, self.v_star = v, v_inv, v_star
-        self.ds_x, self.dt_x = ds_x, dt_x
-        self.m_field, self.blown = m_field, blown
-        self.w = w
+    def __init__(self, coeffs, xb_s, xb_t, pb, qb, w, blowup_M):
+        c = self.c = coeffs
+        d, n, m = c.d, c.n, c.m
+        S, T = self.S, self.T = w.shape[-3], w.shape[-2]
+        batch = np.broadcast_shapes(
+            w.shape[:-3], xb_s.shape[:-2], xb_t.shape[:-2], pb.shape[:-2], qb.shape[:-2]
+        )
+
+        def line(b):
+            """Boundary (..., k, c) as a node-major (k, *batch, c) view."""
+            return np.moveaxis(np.broadcast_to(b, batch + b.shape[-2:]), -2, 0)
+
+        def nodes(*trail):
+            return np.zeros((S + 1, T + 1) + batch + trail)
+
+        # Node-major storage: x[i, j] is one contiguous (*batch, d) block.
+        self.x, self.p, self.q = nodes(d), nodes(n), nodes(n)
+        self.u, self.u_inv, self.u_star = nodes(d, d), nodes(d, d), nodes(d, d, d)
+        self.v, self.v_inv, self.v_star = nodes(d, d), nodes(d, d), nodes(d, d, d)
+        self.ds_x = np.zeros((S, T + 1) + batch + (d,))
+        self.dt_x = np.zeros((S + 1, T) + batch + (d,))
+        self.m_field = nodes()
+        self.blown = np.zeros((S + 1, T + 1) + batch, dtype=bool)
+        self.eye = np.eye(d)
+
+        self.x[:, 0] = line(xb_s)
+        self.x[0, :] = line(xb_t)
+        self.p[0, :] = line(pb)
+        self.q[:, 0] = line(qb)
+        for a in (self.u, self.u_inv, self.v, self.v_inv):
+            a[0, 0] = self.eye
+        self.ds_x[:, 0] = line(np.diff(xb_s, axis=-2))
+        self.dt_x[0, :] = line(np.diff(xb_t, axis=-2))
+        # a view: a contiguous node-major copy of w would cost its full size
+        self.w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
         self.M = blowup_M
-        self.eye = eye
-        self.S, self.T = ds_x.shape[0], dt_x.shape[1]
         self.bad = []
+
+        # the b12/b21 assignment (module docstring)
+        self.s_side = _Side(
+            1, 0, self.p, self.u, self.u_inv, self.u_star, c.c1, c.c2,
+            b11=c.b11,
+            b21=_bind(c.b21, lambda f: lambda x, o, a: f(x, o, o, a)),
+            b12=c.b12,
+            b22=_bind(c.b22, lambda f: lambda x, o, a, a2: f(x, o, o, a, a2)),
+        )
+        self.t_side = _Side(
+            0, 1, self.q, self.v, self.v_inv, self.v_star, c.e1, c.e2,
+            b11=_bind(c.b11, lambda f: lambda x, o, a: f(x, a, o)),
+            b21=_bind(c.b12, lambda f: lambda x, o, a: f(x, a, o, o)),
+            b12=_bind(c.b21, lambda f: lambda x, o, a, a2: f(x, a, a2, o)),
+            b22=_bind(c.b22, lambda f: lambda x, o, a, a2: f(x, a, a2, o, o)),
+        )
 
     def diagonal(self, k):
         """From the nodes (i, k - i): s-steps (i < S), then t-steps (k - i < T),
@@ -359,14 +375,29 @@ class _SweepContext:
         xs = np.where(dead, 0.0, self.x[i, j])
         ps = np.where(dead, 0.0, self.p[i, j])
         qs = np.where(dead, 0.0, self.q[i, j])
-        s_state = (i[:hi], j[:hi], dead[:hi], xs[:hi], ps[:hi], qs[:hi])
-        t_state = (i[lo:], j[lo:], dead[lo:], xs[lo:], ps[lo:], qs[lo:])
         dsx = self.ds_x[i[:hi], j[:hi]]
         dtx = self.dt_x[i[lo:], j[lo:]]
         xi = np.where(dead[:hi], 0.0, dsx)
         tau = np.where(dead[lo:], 0.0, dtx)
-        self._s_steps(*s_state, xi)
-        self._t_steps(*t_state, tau)
+
+        s = slice(None, hi)
+        self._transport(self.s_side, i[s], j[s], dead[s], xs[s], ps[s], qs[s], xi)
+        if j[hi - 1] == 0:
+            # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
+            a = i[hi - 1:hi] + 1
+            self.v[a, 0] = self.u[a, 0]
+            self.v_inv[a, 0] = self.u_inv[a, 0]
+            self._complete(a, j[hi - 1:hi], s_pred=slice(None), t_pred=False)
+
+        t = slice(lo, None)
+        self._transport(self.t_side, i[t], j[t], dead[t], xs[t], ps[t], qs[t], tau)
+        on_axis = i[lo] == 0
+        if on_axis:
+            # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
+            self.u[0, j[lo] + 1] = self.v[0, j[lo] + 1]
+            self.u_inv[0, j[lo] + 1] = self.v_inv[0, j[lo] + 1]
+        self._complete(i[t], j[t] + 1, s_pred=slice(1 if on_axis else 0, None), t_pred=True)
+
         if lo < hi:
             cell = slice(lo, hi)
             self._advance_x(i[cell], j[cell], dead[cell], xs[cell], ps[cell], qs[cell],
@@ -394,115 +425,54 @@ class _SweepContext:
         self.dt_x[i + 1, j] = np.where(dead, 0.0, new_dtx)
         self.x[i + 1, j + 1] = np.where(dead, self.x[i, j], self.x[i, j + 1] + new_dsx)
 
-    def _s_steps(self, i, j, dead, xs, ps, qs, xi):
-        """p, u, u^{-1}, u* advance from nodes (i, j) to (i+1, j)."""
-        c = self.c
-        dp = np.zeros_like(ps)
-        if c.c1 is not None:
-            dp = dp + c.c1(xs, ps, qs, xi)
-        if c.c2 is not None:
-            dp = dp + c.c2(xs, ps, qs, xi, xi)
-        pk = self.p[i, j]
-        self.p[i + 1, j] = np.where(dead, pk, pk + dp)
+    def _transport(self, side, i, j, dead, xs, ps, qs, own):
+        """side's companion and flow triple advance from nodes (i, j) one step;
+        own is the state's increment along it."""
+        a, b = i + side.di, j + side.dj
+        dc = np.zeros_like(ps)
+        if side.k1 is not None:
+            dc = dc + side.k1(xs, ps, qs, own)
+        if side.k2 is not None:
+            dc = dc + side.k2(xs, ps, qs, own, own)
+        ck = side.comp[i, j]
+        side.comp[a, b] = np.where(dead, ck, ck + dc)
 
-        uk = self.u[i, j]
-        uik = self.u_inv[i, j]
+        fk = side.flow[i, j]
+        fik = side.flow_inv[i, j]
         x_b = xs[..., None, :]
-        xi_b = xi[..., None, :]
-        basis = self.eye + np.zeros_like(uk)
-        G = np.zeros_like(uk)
-        if c.b11 is not None:
-            G = G + _on_columns(lambda tau: c.b11(x_b, xi_b, tau), basis)
-        if c.b21 is not None:
-            G = G + _on_columns(lambda tau: c.b21(x_b, xi_b, xi_b, tau), basis)
-        new_u = uk + G @ uk
-        new_ui = uik @ (self.eye - G + G @ G)
+        own_b = own[..., None, :]
+        basis = self.eye + np.zeros_like(fk)
+        G = np.zeros_like(fk)
+        if side.b11 is not None:
+            G = G + _on_columns(lambda col: side.b11(x_b, own_b, col), basis)
+        if side.b21 is not None:
+            G = G + _on_columns(lambda col: side.b21(x_b, own_b, col), basis)
+        new_f = fk + G @ fk
+        new_fi = fik @ (self.eye - G + G @ G)
         dead_m = dead[..., None]
-        self.u[i + 1, j] = np.where(dead_m, uk, new_u)
-        self.u_inv[i + 1, j] = np.where(dead_m, uik, new_ui)
+        side.flow[a, b] = np.where(dead_m, fk, new_f)
+        side.flow_inv[a, b] = np.where(dead_m, fik, new_fi)
 
-        ustar_k = self.u_star[i, j]
-        if c.b12 is not None or c.b22 is not None:
-            ucols = np.swapaxes(uk, -1, -2)
-            t1 = ucols[..., :, None, :]
-            t2 = ucols[..., None, :, :]
+        star_k = side.flow_star[i, j]
+        if side.b12 is not None or side.b22 is not None:
+            cols = np.swapaxes(fk, -1, -2)
+            c1 = cols[..., :, None, :]
+            c2 = cols[..., None, :, :]
             x_bb = xs[..., None, None, :]
-            xi_bb = xi[..., None, None, :]
-            dd = uk.shape[-1]
-            brace = np.zeros(uk.shape[:-2] + (dd, dd, dd))
-            if c.b12 is not None:
-                inner = c.b12(x_bb, xi_bb, t1, t2)
+            own_bb = own[..., None, None, :]
+            dd = fk.shape[-1]
+            brace = np.zeros(fk.shape[:-2] + (dd, dd, dd))
+            if side.b12 is not None:
+                inner = side.b12(x_bb, own_bb, c1, c2)
                 brace = brace + inner
-                if c.b11 is not None:
-                    brace = brace - c.b11(x_bb, xi_bb, inner)
-            if c.b22 is not None:
-                brace = brace + c.b22(x_bb, xi_bb, xi_bb, t1, t2)
-            new_us = ustar_k + np.einsum("...ab,...jkb->...ajk", uik, brace)
+                if side.b11 is not None:
+                    brace = brace - side.b11(x_bb, own_bb, inner)
+            if side.b22 is not None:
+                brace = brace + side.b22(x_bb, own_bb, c1, c2)
+            new_star = star_k + np.einsum("...ab,...jkb->...ajk", fik, brace)
         else:
-            new_us = ustar_k
-        self.u_star[i + 1, j] = np.where(dead_m[..., None], ustar_k, new_us)
-
-        if j[-1] == 0:
-            # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
-            a = i[-1:] + 1
-            self.v[a, 0] = self.u[a, 0]
-            self.v_inv[a, 0] = self.u_inv[a, 0]
-            self._complete(a, j[-1:], s_pred=slice(None), t_pred=False)
-
-    def _t_steps(self, i, j, dead, xs, ps, qs, tau):
-        """q, v, v^{-1}, v* advance from nodes (i, j) to (i, j+1)."""
-        c = self.c
-        dq = np.zeros_like(qs)
-        if c.e1 is not None:
-            dq = dq + c.e1(xs, ps, qs, tau)
-        if c.e2 is not None:
-            dq = dq + c.e2(xs, ps, qs, tau, tau)
-        qk = self.q[i, j]
-        self.q[i, j + 1] = np.where(dead, qk, qk + dq)
-
-        vk = self.v[i, j]
-        vik = self.v_inv[i, j]
-        x_b = xs[..., None, :]
-        tau_b = tau[..., None, :]
-        basis = self.eye + np.zeros_like(vk)
-        G = np.zeros_like(vk)
-        if c.b11 is not None:
-            G = G + _on_columns(lambda xi: c.b11(x_b, xi, tau_b), basis)
-        if c.b12 is not None:
-            G = G + _on_columns(lambda xi: c.b12(x_b, xi, tau_b, tau_b), basis)
-        new_v = vk + G @ vk
-        new_vi = vik @ (self.eye - G + G @ G)
-        dead_m = dead[..., None]
-        self.v[i, j + 1] = np.where(dead_m, vk, new_v)
-        self.v_inv[i, j + 1] = np.where(dead_m, vik, new_vi)
-
-        vstar_k = self.v_star[i, j]
-        if c.b21 is not None or c.b22 is not None:
-            vcols = np.swapaxes(vk, -1, -2)
-            s1 = vcols[..., :, None, :]
-            s2 = vcols[..., None, :, :]
-            x_bb = xs[..., None, None, :]
-            tau_bb = tau[..., None, None, :]
-            dd = vk.shape[-1]
-            brace = np.zeros(vk.shape[:-2] + (dd, dd, dd))
-            if c.b21 is not None:
-                inner = c.b21(x_bb, s1, s2, tau_bb)
-                brace = brace + inner
-                if c.b11 is not None:
-                    brace = brace - c.b11(x_bb, inner, tau_bb)
-            if c.b22 is not None:
-                brace = brace + c.b22(x_bb, s1, s2, tau_bb, tau_bb)
-            new_vs = vstar_k + np.einsum("...ab,...jkb->...ajk", vik, brace)
-        else:
-            new_vs = vstar_k
-        self.v_star[i, j + 1] = np.where(dead_m[..., None], vstar_k, new_vs)
-
-        on_axis = i[0] == 0
-        if on_axis:
-            # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
-            self.u[0, j[0] + 1] = self.v[0, j[0] + 1]
-            self.u_inv[0, j[0] + 1] = self.v_inv[0, j[0] + 1]
-        self._complete(i, j + 1, s_pred=slice(1 if on_axis else 0, None), t_pred=True)
+            new_star = star_k
+        side.flow_star[a, b] = np.where(dead_m[..., None], star_k, new_star)
 
     def _complete(self, a, b, s_pred, t_pred):
         """Both u and v now exist at nodes (a, b): update m, mask, finiteness.

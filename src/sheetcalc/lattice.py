@@ -56,6 +56,13 @@ class Channel(IntEnum):
     Q_S0 = 5
 
 
+def _node_index(axis: str, v: float, step: float, n: int) -> int:
+    k = round(v / step)
+    if not (0 <= k <= n) or abs(k * step - v) > 1e-9 * max(1.0, abs(v)):
+        raise ConfigurationError(f"{axis}={v} is not a node of the grid (d{axis}={step})")
+    return k
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectangular lattice: nodes (i*ds, j*dt), cells [i,i+1]x[j,j+1]."""
@@ -87,16 +94,10 @@ class Grid:
 
     def s_index(self, s: float) -> int:
         """Node index of coordinate s; must lie on the grid."""
-        i = round(s / self.ds)
-        if not (0 <= i <= self.n_s) or abs(i * self.ds - s) > 1e-9 * max(1.0, abs(s)):
-            raise ConfigurationError(f"s={s} is not a node of the grid (ds={self.ds})")
-        return i
+        return _node_index("s", s, self.ds, self.n_s)
 
     def t_index(self, t: float) -> int:
-        j = round(t / self.dt)
-        if not (0 <= j <= self.n_t) or abs(j * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(f"t={t} is not a node of the grid (dt={self.dt})")
-        return j
+        return _node_index("t", t, self.dt, self.n_t)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,8 @@ _PROBE_H = 1e-4
 _PROBE_RTOL = 1e-4
 
 
-def _probe_points(d: int, scale: float, seed: int = 0) -> np.ndarray:
-    z = normal_grid(seed, 0, Stream.PROBE, _PROBE_POINTS, 1, d)[:, 0, :]
-    return scale * z
+def _probe_points(d: int) -> np.ndarray:
+    return normal_grid(0, 0, Stream.PROBE, _PROBE_POINTS, 1, d)[:, 0, :]
 
 
 def _check_jacobian(fn, jac, x, h, name):
@@ -87,16 +86,14 @@ class VectorFieldSet:
     X: list
     grad_X: list
     hess_X: list
-    probe_scale: float = 1.0
 
     def __post_init__(self):
         if len(self.X) != self.m + 1 or len(self.grad_X) != self.m + 1 or len(self.hess_X) != self.m + 1:
             raise ModelError(f"need m+1={self.m + 1} callbacks for X, grad_X, hess_X")
-        pts = _probe_points(self.d, self.probe_scale)
-        h = _PROBE_H * self.probe_scale
+        pts = _probe_points(self.d)
         for i in range(self.m + 1):
-            _check_jacobian(self.X[i], self.grad_X[i], pts, h, f"X_{i}")
-            _check_jacobian(self.grad_X[i], self.hess_X[i], pts, h, f"grad X_{i}")
+            _check_jacobian(self.X[i], self.grad_X[i], pts, _PROBE_H, f"X_{i}")
+            _check_jacobian(self.grad_X[i], self.hess_X[i], pts, _PROBE_H, f"grad X_{i}")
 
     def euler_terms(self, x):
         """What one Euler step needs at x, each callback called at most once.
@@ -126,17 +123,15 @@ class Payoff:
     hess_f: Callable
     name: str = "payoff"
     d: int = 1
-    probe_scale: float = 1.0
 
     def __post_init__(self):
-        pts = _probe_points(self.d, self.probe_scale)
-        h = _PROBE_H * self.probe_scale
+        pts = _probe_points(self.d)
         _check_jacobian(
             lambda x: self.f(x)[..., None],
             lambda x: self.grad_f(x)[..., None, :],
-            pts, h, self.name,
+            pts, _PROBE_H, self.name,
         )
-        _check_jacobian(self.grad_f, self.hess_f, pts, h, f"grad {self.name}")
+        _check_jacobian(self.grad_f, self.hess_f, pts, _PROBE_H, f"grad {self.name}")
 
 
 @dataclass

@@ -96,14 +96,13 @@ def _normalize_table(table, d):
     return norm
 
 
-def polynomial_fields(d, m, tables, probe_scale=1.0):
+def polynomial_fields(d, m, tables):
     """VectorFieldSet from m+1 monomial tables (index 0 is the drift X_0)."""
     if len(tables) != m + 1:
         raise ConfigurationError(f"need m+1={m + 1} field tables, got {len(tables)}")
     fields = [_poly_callbacks(_normalize_table(t, d), (d,), d) for t in tables]
     X, grad_X, hess_X = (list(cbs) for cbs in zip(*fields))
-    return VectorFieldSet(d=d, m=m, X=X, grad_X=grad_X, hess_X=hess_X,
-                          probe_scale=probe_scale)
+    return VectorFieldSet(d=d, m=m, X=X, grad_X=grad_X, hess_X=hess_X)
 
 
 @dataclass

@@ -37,18 +37,9 @@ class SheetField:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values[..., c]
-
     def t_line(self, j: int) -> np.ndarray:
         """Values along the fixed-t line t = j*dt, shape (..., n_s+1, dim)."""
         return self.values[..., :, j, :]
-
-    def s_line(self, i: int) -> np.ndarray:
-        return self.values[..., i, :, :]
-
-    def node(self, i: int, j: int) -> np.ndarray:
-        return self.values[..., i, j, :]
 
 
 def build_sheet(incs: CellIncrements) -> SheetField:

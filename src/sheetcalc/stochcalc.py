@@ -46,27 +46,26 @@ class LineProcess:
     values: np.ndarray
     step: float
     axis: str = "s"
-    fixed_other: int = 0
 
     @property
     def n(self) -> int:
         return self.values.shape[-2]
 
     @classmethod
-    def from_values(cls, values, step, axis="s", fixed_other=0):
+    def from_values(cls, values, step, axis="s"):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim == 1:
             v = v[:, None]
-        return cls(v, step, axis, fixed_other)
+        return cls(v, step, axis)
 
 
 def t_line(field: SheetField, j: int) -> LineProcess:
     """The s-varying line at fixed t = j*dt."""
-    return LineProcess(field.values[..., :, j, :], field.grid.ds, "s", j)
+    return LineProcess(field.values[..., :, j, :], field.grid.ds, "s")
 
 
 def s_line(field: SheetField, i: int) -> LineProcess:
-    return LineProcess(field.values[..., i, :, :], field.grid.dt, "t", i)
+    return LineProcess(field.values[..., i, :, :], field.grid.dt, "t")
 
 
 def field_component(field: SheetField, c: int) -> SheetField:
@@ -103,7 +102,7 @@ def integral_zeta1(a: LineProcess, x: LineProcess, rule: str = "ito") -> LinePro
         w = 0.5 * (av[..., :-1, :] + av[..., 1:, :])
     else:
         raise ConfigurationError(f"unknown rule {rule!r}")
-    return LineProcess(cumsum0(w * dx, axis=-2), x.step, x.axis, x.fixed_other)
+    return LineProcess(cumsum0(w * dx, axis=-2), x.step, x.axis)
 
 
 def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) -> LineProcess:
@@ -113,7 +112,7 @@ def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) 
     if weight is not None:
         _check_lines(weight, x)
         terms = weight.values[..., :-1, :] * terms
-    return LineProcess(cumsum0(terms, axis=-2), x.step, x.axis, x.fixed_other)
+    return LineProcess(cumsum0(terms, axis=-2), x.step, x.axis)
 
 
 def prefix2d(terms: np.ndarray, sweep: str = "s-major") -> np.ndarray:
@@ -124,21 +123,17 @@ def prefix2d(terms: np.ndarray, sweep: str = "s-major") -> np.ndarray:
     because the solver contract lets callers cross-check them.
     """
     n_i, n_j = terms.shape[-2:]
-    out = np.zeros(terms.shape[:-2] + (n_i + 1, n_j + 1))
     if sweep == "s-major":
-        for i in range(n_i):
-            for j in range(n_j):
-                out[..., i + 1, j + 1] = (
-                    (out[..., i, j + 1] + out[..., i + 1, j]) - out[..., i, j]
-                ) + terms[..., i, j]
+        order = ((i, j) for i in range(n_i) for j in range(n_j))
     elif sweep == "t-major":
-        for j in range(n_j):
-            for i in range(n_i):
-                out[..., i + 1, j + 1] = (
-                    (out[..., i, j + 1] + out[..., i + 1, j]) - out[..., i, j]
-                ) + terms[..., i, j]
+        order = ((i, j) for j in range(n_j) for i in range(n_i))
     else:
         raise ConfigurationError(f"unknown sweep {sweep!r}")
+    out = np.zeros(terms.shape[:-2] + (n_i + 1, n_j + 1))
+    for i, j in order:
+        out[..., i + 1, j + 1] = (
+            (out[..., i, j + 1] + out[..., i + 1, j]) - out[..., i, j]
+        ) + terms[..., i, j]
     return out
 
 

@@ -399,7 +399,7 @@ class _MomentSums:
 
 def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
                     seed: int, workers: int = 1, model: Optional[Model] = None,
-                    coeffs: Optional[CoefficientSet] = None, s_at: float = None) -> HolderReport:
+                    coeffs: Optional[CoefficientSet] = None) -> HolderReport:
     """Estimate E|X_{s,lag} - X_{s,0}|^alpha per lag and fit the log-log slope.
 
     target: "sheet" (component 0 of the Brownian sheet), "x"/"u" (state or
@@ -416,7 +416,7 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
         raise ConfigurationError(f"target {target!r} needs a model")
     if target == "p" and coeffs is None:
         coeffs = bounded_test_coefficients()
-    k = grid.n_s if s_at is None else grid.s_index(s_at)
+    k = grid.n_s
     chunk = {"sheet": LINE_CHUNK, "x": FIELD_CHUNK, "u": FIELD_CHUNK, "p": HYP_CHUNK}.get(target)
     if chunk is None:
         raise ConfigurationError(f"unknown holder target {target!r}")

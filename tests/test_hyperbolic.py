@@ -431,6 +431,50 @@ class TestSolutionPins:
             assert len({int(np.sum(~m)) for m in mask}) > 1, case
 
 
+def _exchanged(c: CoefficientSet) -> CoefficientSet:
+    """The system with s and t exchanged: b12 and b21 trade places, every b
+    takes its s- and t-slots exchanged, c and e trade places, and every
+    callback takes p and q exchanged."""
+    return CoefficientSet(
+        d=c.d, n=c.n, m=c.m,
+        a1=lambda x, p, q, dw: c.a1(x, q, p, dw),
+        a2=lambda x, p, q, dw, dw2: c.a2(x, q, p, dw, dw2),
+        b11=lambda x, xi, tau: c.b11(x, tau, xi),
+        b12=lambda x, xi, tau, tau2: c.b21(x, tau, tau2, xi),
+        b21=lambda x, xi, xi2, tau: c.b12(x, tau, xi, xi2),
+        b22=lambda x, xi, xi2, tau, tau2: c.b22(x, tau, tau2, xi, xi2),
+        c1=lambda x, p, q, xi: c.e1(x, q, p, xi),
+        c2=lambda x, p, q, xi, xi2: c.e2(x, q, p, xi, xi2),
+        e1=lambda x, p, q, tau: c.c1(x, q, p, tau),
+        e2=lambda x, p, q, tau, tau2: c.c2(x, q, p, tau, tau2),
+    )
+
+
+class TestTranspositionSymmetry:
+    def test_exchanged_system_solves_to_the_transpose(self):
+        # Exchanging s and t maps the system onto itself, so solving the
+        # exchanged system on the transposed data and transposing back must
+        # reproduce the solution, with p, u, u^{-1}, u*, ds_x and q, v,
+        # v^{-1}, v*, dt_x trading places.  Only the order of some sums
+        # differs, so the match is to rounding, not to the bit.
+        coeffs, bounds, grid, incs, _ = _pin_case("full-d2-9x5")
+        sol = solve_system(coeffs, bounds, grid, incs)
+        grid_x = Grid(grid.n_t, grid.n_s, grid.dt, grid.ds)
+        bounds_x = SystemBoundaries(x_s0=bounds.x_0t, x_0t=bounds.x_s0,
+                                    p_0t=bounds.q_s0, q_s0=bounds.p_0t)
+        incs_x = CellIncrements(np.swapaxes(incs.values, -3, -2), grid_x)
+        sol_x = solve_system(_exchanged(coeffs), bounds_x, grid_x, incs_x)
+        pairs = {"x": "x", "p": "q", "q": "p", "u": "v", "v": "u", "u_inv": "v_inv",
+                 "v_inv": "u_inv", "u_star": "v_star", "v_star": "u_star",
+                 "ds_x": "dt_x", "dt_x": "ds_x", "m_field": "m_field"}
+        for name, other in pairs.items():
+            a = getattr(sol, name)
+            b = np.swapaxes(getattr(sol_x, other), 1, 2)  # node axes follow the path axis
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a)), name
+        assert np.all(sol.domain_mask) and np.all(sol_x.domain_mask)
+
+
 class TestFailingNodeOrder:
     def test_names_the_first_bad_node_in_row_order(self):
         # NaN cells at path 1 (0, 6) and path 3 (3, 0): the bad node of path 3
