@@ -43,6 +43,13 @@ cell-by-cell sweep, so the results do not depend on the order.  The state is
 stored node-major, (S+1, T+1, *batch, ...), so that each node's values for
 all paths are one contiguous block; the solution exposes batch-first views.
 
+Per-diagonal cost: stacked small-matrix products go through
+`malliavin._matmul`, elementwise over every path and node of a diagonal, so
+the bits do not depend on the BLAS kernel and a d = 1 product costs one
+multiply, not one matmul call per 1 x 1 matrix.  The freeze of dead paths
+(`np.where`) is skipped on a diagonal with no dead path, where it would copy
+each new value unchanged, and the identity basis is a broadcast view.
+
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
 indices).  When several nodes are bad, the one named is the first in the
@@ -61,6 +68,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from .lattice import BoundaryPath, CellIncrements, Grid, Stream, cumsum0, normal_grid
+from .malliavin import _matmul
 
 NORM_CONVENTION = "frobenius-of-concatenated-(u,u_inv,v,v_inv)"
 
@@ -182,7 +190,7 @@ class HyperbolicSolution:
         """Max in-domain deviation of u u^{-1} from the identity."""
         eye = np.eye(self.u.shape[-1])
         live = self.domain_mask[..., None, None]
-        return float(np.max(np.abs(np.where(live, self.u @ self.u_inv - eye, 0.0))))
+        return float(np.max(np.abs(np.where(live, _matmul(self.u, self.u_inv) - eye, 0.0))))
 
 
 @dataclass
@@ -343,6 +351,7 @@ class _SweepContext:
         self.w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
         self.M = blowup_M
         self.bad = []
+        self.all_live = True  # no path dead on the current diagonal
 
         # the b12/b21 assignment (module docstring)
         self.s_side = _Side(
@@ -372,13 +381,14 @@ class _SweepContext:
         # state at each node, zeroed on dead paths so that coefficient
         # callbacks never see frozen garbage
         dead = self.blown[i, j][..., None]
-        xs = np.where(dead, 0.0, self.x[i, j])
-        ps = np.where(dead, 0.0, self.p[i, j])
-        qs = np.where(dead, 0.0, self.q[i, j])
+        self.all_live = not dead.any()
+        xs = self._live(dead, self.x[i, j], 0.0)
+        ps = self._live(dead, self.p[i, j], 0.0)
+        qs = self._live(dead, self.q[i, j], 0.0)
         dsx = self.ds_x[i[:hi], j[:hi]]
         dtx = self.dt_x[i[lo:], j[lo:]]
-        xi = np.where(dead[:hi], 0.0, dsx)
-        tau = np.where(dead[lo:], 0.0, dtx)
+        xi = self._live(dead[:hi], dsx, 0.0)
+        tau = self._live(dead[lo:], dtx, 0.0)
 
         s = slice(None, hi)
         self._transport(self.s_side, i[s], j[s], dead[s], xs[s], ps[s], qs[s], xi)
@@ -403,10 +413,15 @@ class _SweepContext:
             self._advance_x(i[cell], j[cell], dead[cell], xs[cell], ps[cell], qs[cell],
                             dsx[lo:], xi[lo:], dtx[:hi - lo], tau[:hi - lo])
 
+    def _live(self, dead, value, frozen):
+        """value on live paths and frozen on dead ones; value itself when the
+        diagonal has no dead path (np.where would copy it unchanged)."""
+        return value if self.all_live else np.where(dead, frozen, value)
+
     def _advance_x(self, i, j, dead, xs, ps, qs, dsx, xi, dtx, tau):
         c = self.c
         dw = self.w[i, j]
-        delta = np.zeros_like(xi)
+        delta = 0.0  # a scalar start adds +0.0 as a zeros array would
         if c.a1 is not None:
             delta = delta + c.a1(xs, ps, qs, dw)
         if c.a2 is not None:
@@ -421,37 +436,42 @@ class _SweepContext:
             delta = delta + c.b22(xs, xi, xi, tau, tau)
         new_dsx = dsx + delta
         new_dtx = dtx + delta
-        self.ds_x[i, j + 1] = np.where(dead, 0.0, new_dsx)
-        self.dt_x[i + 1, j] = np.where(dead, 0.0, new_dtx)
-        self.x[i + 1, j + 1] = np.where(dead, self.x[i, j], self.x[i, j + 1] + new_dsx)
+        self.ds_x[i, j + 1] = self._live(dead, new_dsx, 0.0)
+        self.dt_x[i + 1, j] = self._live(dead, new_dtx, 0.0)
+        self.x[i + 1, j + 1] = self._live(dead, self.x[i, j + 1] + new_dsx, self.x[i, j])
 
     def _transport(self, side, i, j, dead, xs, ps, qs, own):
         """side's companion and flow triple advance from nodes (i, j) one step;
         own is the state's increment along it."""
         a, b = i + side.di, j + side.dj
-        dc = np.zeros_like(ps)
+        dc = 0.0
         if side.k1 is not None:
             dc = dc + side.k1(xs, ps, qs, own)
         if side.k2 is not None:
             dc = dc + side.k2(xs, ps, qs, own, own)
         ck = side.comp[i, j]
-        side.comp[a, b] = np.where(dead, ck, ck + dc)
+        side.comp[a, b] = self._live(dead, ck + dc, ck)
 
+        # G and the brace below enter the flows only through _matmul, which
+        # adds +0.0, and through I - G, so each may start from its first
+        # term as it is: the sign of a zero in them reaches no output.
         fk = side.flow[i, j]
         fik = side.flow_inv[i, j]
         x_b = xs[..., None, :]
         own_b = own[..., None, :]
-        basis = self.eye + np.zeros_like(fk)
-        G = np.zeros_like(fk)
-        if side.b11 is not None:
-            G = G + _on_columns(lambda col: side.b11(x_b, own_b, col), basis)
-        if side.b21 is not None:
-            G = G + _on_columns(lambda col: side.b21(x_b, own_b, col), basis)
-        new_f = fk + G @ fk
-        new_fi = fik @ (self.eye - G + G @ G)
+        basis = np.broadcast_to(self.eye, fk.shape)
+        G = None
+        for fn in (side.b11, side.b21):
+            if fn is not None:
+                term = _on_columns(lambda col: fn(x_b, own_b, col), basis)
+                G = term if G is None else G + term
+        if G is None:
+            G = np.broadcast_to(0.0, fk.shape)
+        new_f = fk + _matmul(G, fk)
+        new_fi = _matmul(fik, self.eye - G + _matmul(G, G))
         dead_m = dead[..., None]
-        side.flow[a, b] = np.where(dead_m, fk, new_f)
-        side.flow_inv[a, b] = np.where(dead_m, fik, new_fi)
+        side.flow[a, b] = self._live(dead_m, new_f, fk)
+        side.flow_inv[a, b] = self._live(dead_m, new_fi, fik)
 
         star_k = side.flow_star[i, j]
         if side.b12 is not None or side.b22 is not None:
@@ -460,19 +480,23 @@ class _SweepContext:
             c2 = cols[..., None, :, :]
             x_bb = xs[..., None, None, :]
             own_bb = own[..., None, None, :]
-            dd = fk.shape[-1]
-            brace = np.zeros(fk.shape[:-2] + (dd, dd, dd))
+            brace = None
             if side.b12 is not None:
-                inner = side.b12(x_bb, own_bb, c1, c2)
-                brace = brace + inner
+                brace = side.b12(x_bb, own_bb, c1, c2)
                 if side.b11 is not None:
-                    brace = brace - side.b11(x_bb, own_bb, inner)
+                    brace = brace - side.b11(x_bb, own_bb, brace)
             if side.b22 is not None:
-                brace = brace + side.b22(x_bb, own_bb, c1, c2)
-            new_star = star_k + np.einsum("...ab,...jkb->...ajk", fik, brace)
+                term = side.b22(x_bb, own_bb, c1, c2)
+                brace = term if brace is None else brace + term
+            # brace[..., j, k, :] is the vector for columns (j, k); the update
+            # is fik times each, one (d, d) by (d, d * d) product
+            dd = fk.shape[-1]
+            flat = brace.reshape(brace.shape[:-3] + (dd * dd, dd))
+            prod = _matmul(fik, np.swapaxes(flat, -1, -2))
+            new_star = star_k + prod.reshape(prod.shape[:-1] + (dd, dd))
         else:
             new_star = star_k
-        side.flow_star[a, b] = np.where(dead_m[..., None], star_k, new_star)
+        side.flow_star[a, b] = self._live(dead_m[..., None], new_star, star_k)
 
     def _complete(self, a, b, s_pred, t_pred):
         """Both u and v now exist at nodes (a, b): update m, mask, finiteness.

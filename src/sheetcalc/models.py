@@ -25,11 +25,13 @@ from .malliavin import Payoff, VectorFieldSet
 
 
 def _mono(x, powers):
-    out = np.ones(x.shape[:-1])
+    """The monomial prod_k x_k^{p_k}; a constant when every power is 0."""
+    out = None
     for k, p in enumerate(powers):
         if p:
-            out = out * x[..., k] ** p
-    return out
+            factor = x[..., k] if p == 1 else x[..., k] ** p
+            out = factor if out is None else out * factor
+    return np.ones(x.shape[:-1]) if out is None else out
 
 
 def _evaluate(x, entries, shape):

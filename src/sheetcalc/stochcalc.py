@@ -45,27 +45,26 @@ class LineProcess:
 
     values: np.ndarray
     step: float
-    axis: str = "s"
 
     @property
     def n(self) -> int:
         return self.values.shape[-2]
 
     @classmethod
-    def from_values(cls, values, step, axis="s"):
+    def from_values(cls, values, step):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim == 1:
             v = v[:, None]
-        return cls(v, step, axis)
+        return cls(v, step)
 
 
 def t_line(field: SheetField, j: int) -> LineProcess:
     """The s-varying line at fixed t = j*dt."""
-    return LineProcess(field.values[..., :, j, :], field.grid.ds, "s")
+    return LineProcess(field.values[..., :, j, :], field.grid.ds)
 
 
 def s_line(field: SheetField, i: int) -> LineProcess:
-    return LineProcess(field.values[..., i, :, :], field.grid.dt, "t")
+    return LineProcess(field.values[..., i, :, :], field.grid.dt)
 
 
 def field_component(field: SheetField, c: int) -> SheetField:
@@ -102,7 +101,7 @@ def integral_zeta1(a: LineProcess, x: LineProcess, rule: str = "ito") -> LinePro
         w = 0.5 * (av[..., :-1, :] + av[..., 1:, :])
     else:
         raise ConfigurationError(f"unknown rule {rule!r}")
-    return LineProcess(cumsum0(w * dx, axis=-2), x.step, x.axis)
+    return LineProcess(cumsum0(w * dx, axis=-2), x.step)
 
 
 def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) -> LineProcess:
@@ -112,7 +111,7 @@ def integral_zeta2(x: LineProcess, x2: LineProcess, weight: LineProcess = None) 
     if weight is not None:
         _check_lines(weight, x)
         terms = weight.values[..., :-1, :] * terms
-    return LineProcess(cumsum0(terms, axis=-2), x.step, x.axis)
+    return LineProcess(cumsum0(terms, axis=-2), x.step)
 
 
 def prefix2d(terms: np.ndarray, sweep: str = "s-major") -> np.ndarray:

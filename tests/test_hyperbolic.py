@@ -431,6 +431,37 @@ class TestSolutionPins:
             assert len({int(np.sum(~m)) for m in mask}) > 1, case
 
 
+class TestPathIndependence:
+    def test_batched_d2_solve_equals_each_path_alone(self):
+        # every product is elementwise over the paths, so a path's bits do
+        # not depend on the paths solved beside it
+        grid = Grid(6, 5, 1.0 / 6, 0.2)
+        n_paths = 5
+        bounds = _bm_bounds(grid, NoiseSpec(21, 0, 2), 2, 2, n_paths)
+        incs = _incs(grid, 21, n_paths, m=2)
+        sol = solve_system(full_d2_coefficients(), bounds, grid, incs)
+        for k in range(n_paths):
+            alone = solve_system(
+                full_d2_coefficients(), SystemBoundaries(*(a[k] for a in bounds.arrays())),
+                grid, CellIncrements(incs.values[k], grid))
+            for a in ("x", "u", "u_inv", "u_star", "v", "v_inv", "v_star", "m_field"):
+                assert getattr(sol, a)[k].tobytes() == getattr(alone, a).tobytes(), (k, a)
+
+    def test_live_path_is_unchanged_by_a_frozen_neighbour(self):
+        # path 0 freezes at M = 3, so later diagonals take the masked update;
+        # path 1 stays in-domain and must match the all-live solve at M = inf
+        grid = Grid(12, 10, 1.0 / 12, 0.1)
+        bounds = _growth_bounds(grid, [0.5, 0.1])
+        incs = _incs(grid, 22, 2)
+        coeffs = exponential_growth_coefficients(1.0)
+        frozen = solve_system(coeffs, bounds, grid, incs, blowup_M=3.0)
+        free = solve_system(coeffs, bounds, grid, incs)
+        assert np.sum(~frozen.domain_mask[0]) > 1
+        assert np.all(frozen.domain_mask[1]) and np.all(free.domain_mask)
+        for a in SOLUTION_ARRAYS:
+            assert getattr(frozen, a)[1].tobytes() == getattr(free, a)[1].tobytes(), a
+
+
 def _exchanged(c: CoefficientSet) -> CoefficientSet:
     """The system with s and t exchanged: b12 and b21 trade places, every b
     takes its s- and t-slots exchanged, c and e trade places, and every

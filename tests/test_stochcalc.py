@@ -311,6 +311,6 @@ class TestLineExtraction:
         w = build_sheet(CellIncrements(vals, grid))
         row = t_line(w, 3)
         col = s_line(w, 2)
-        assert row.values.shape == (2, 5, 1) and row.step == 0.25 and row.axis == "s"
-        assert col.values.shape == (2, 7, 1) and col.step == 0.5 and col.axis == "t"
+        assert row.values.shape == (2, 5, 1) and row.step == 0.25
+        assert col.values.shape == (2, 7, 1) and col.step == 0.5
         assert np.array_equal(row.values[:, 2, :], col.values[:, 3, :])
