@@ -25,7 +25,8 @@ arrays handed out keep the batch-first shapes (..., n+1, d) as
 `np.moveaxis` views, so they are in general not contiguous.  The running
 integrals add one step at a time (`_partial_sums`), in `np.cumsum`'s order.
 Products of stacked small matrices go through `_matmul`, elementwise in
-index order, never through a stacked `@`.
+index order, never through a stacked `@`; it is the package's one such
+product, and the hyperbolic sweep imports it.
 
 `VectorFieldSet.euler_terms` evaluates everything one Euler step needs with
 each callback called once.  `compute_malliavin_line` evaluates X_1..X_m once
