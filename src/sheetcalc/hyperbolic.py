@@ -48,7 +48,13 @@ Per-diagonal cost: stacked small-matrix products go through
 the bits do not depend on the BLAS kernel and a d = 1 product costs one
 multiply, not one matmul call per 1 x 1 matrix.  The freeze of dead paths
 (`np.where`) is skipped on a diagonal with no dead path, where it would copy
-each new value unchanged, and the identity basis is a broadcast view.
+each new value unchanged, and the identity basis is a broadcast view.  A
+step does no work whose result is fixed before the sweep starts: u* and v*
+are transported only when b12 or b22 (for v*, b21 or b22) is present, and
+otherwise keep the zeros they start from; the freeze mask is kept only under
+a finite blowup_M, since at M = inf no node can leave the domain.  The norm
+tuple's sums of squares add the entries of each 1 x 1 or 2 x 2 matrix one
+by one in numpy's own order, without a reduction call.
 
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
@@ -203,13 +209,27 @@ class BlowupSummary:
         return not bool(np.any(self.frontier))
 
 
+def _sum_squares(a):
+    """np.sum(a * a, axis=(-2, -1)) over square (d, d) matrices, bit for bit.
+
+    Below eight terms numpy's pairwise sum adds left to right, so for d <= 2
+    the entries are added in C order with no reduction call; from eight
+    terms on it adds in a tree, and np.sum is kept.
+    """
+    sq = a * a
+    d = a.shape[-1]
+    if d * d >= 8:
+        return np.sum(sq, axis=(-2, -1))
+    acc = sq[..., 0, 0]  # a view: sq is scratch, so the sum may overwrite it
+    for r in range(d):
+        for c in range(d):
+            if r or c:
+                acc += sq[..., r, c]
+    return acc
+
+
 def _tuple_norm(u, u_inv, v, v_inv):
-    return np.sqrt(
-        np.sum(u * u, axis=(-2, -1))
-        + np.sum(u_inv * u_inv, axis=(-2, -1))
-        + np.sum(v * v, axis=(-2, -1))
-        + np.sum(v_inv * v_inv, axis=(-2, -1))
-    )
+    return np.sqrt(_sum_squares(u) + _sum_squares(u_inv) + _sum_squares(v) + _sum_squares(v_inv))
 
 
 def _on_columns(fn, mat):
@@ -350,7 +370,10 @@ class _SweepContext:
         # a view: a contiguous node-major copy of w would cost its full size
         self.w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
         self.M = blowup_M
+        # at M = inf no node can freeze, so `blown` stays all False
+        self.masked = not np.isinf(blowup_M)
         self.bad = []
+        self.dead = None  # the current diagonal's frozen paths, (nodes, *batch)
         self.all_live = True  # no path dead on the current diagonal
 
         # the b12/b21 assignment (module docstring)
@@ -378,20 +401,22 @@ class _SweepContext:
         # nodes on the top edge j = T take no t-step; on i = S no s-step
         lo = 1 if j[0] == T else 0
         hi = len(i) - 1 if i[-1] == S else len(i)
+        s = slice(None, hi)
+        t = slice(lo, None)
+        if self.masked:
+            self.dead = self.blown[i, j]
+            self.all_live = not self.dead.any()
         # state at each node, zeroed on dead paths so that coefficient
         # callbacks never see frozen garbage
-        dead = self.blown[i, j][..., None]
-        self.all_live = not dead.any()
-        xs = self._live(dead, self.x[i, j], 0.0)
-        ps = self._live(dead, self.p[i, j], 0.0)
-        qs = self._live(dead, self.q[i, j], 0.0)
-        dsx = self.ds_x[i[:hi], j[:hi]]
-        dtx = self.dt_x[i[lo:], j[lo:]]
-        xi = self._live(dead[:hi], dsx, 0.0)
-        tau = self._live(dead[lo:], dtx, 0.0)
+        xs = self._live(slice(None), self.x[i, j], 0.0)
+        ps = self._live(slice(None), self.p[i, j], 0.0)
+        qs = self._live(slice(None), self.q[i, j], 0.0)
+        dsx = self.ds_x[i[s], j[s]]
+        dtx = self.dt_x[i[t], j[t]]
+        xi = self._live(s, dsx, 0.0)
+        tau = self._live(t, dtx, 0.0)
 
-        s = slice(None, hi)
-        self._transport(self.s_side, i[s], j[s], dead[s], xs[s], ps[s], qs[s], xi)
+        self._transport(self.s_side, s, i[s], j[s], xs[s], ps[s], qs[s], xi)
         if j[hi - 1] == 0:
             # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
             a = i[hi - 1:hi] + 1
@@ -399,8 +424,7 @@ class _SweepContext:
             self.v_inv[a, 0] = self.u_inv[a, 0]
             self._complete(a, j[hi - 1:hi], s_pred=slice(None), t_pred=False)
 
-        t = slice(lo, None)
-        self._transport(self.t_side, i[t], j[t], dead[t], xs[t], ps[t], qs[t], tau)
+        self._transport(self.t_side, t, i[t], j[t], xs[t], ps[t], qs[t], tau)
         on_axis = i[lo] == 0
         if on_axis:
             # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
@@ -410,15 +434,19 @@ class _SweepContext:
 
         if lo < hi:
             cell = slice(lo, hi)
-            self._advance_x(i[cell], j[cell], dead[cell], xs[cell], ps[cell], qs[cell],
+            self._advance_x(cell, i[cell], j[cell], xs[cell], ps[cell], qs[cell],
                             dsx[lo:], xi[lo:], dtx[:hi - lo], tau[:hi - lo])
 
-    def _live(self, dead, value, frozen):
-        """value on live paths and frozen on dead ones; value itself when the
-        diagonal has no dead path (np.where would copy it unchanged)."""
-        return value if self.all_live else np.where(dead, frozen, value)
+    def _live(self, sel, value, frozen):
+        """value on live paths and frozen on dead ones, at the diagonal's nodes
+        sel; value itself when the diagonal has no dead path (np.where would
+        copy it unchanged)."""
+        if self.all_live:
+            return value
+        dead = self.dead[sel]
+        return np.where(dead.reshape(dead.shape + (1,) * (value.ndim - dead.ndim)), frozen, value)
 
-    def _advance_x(self, i, j, dead, xs, ps, qs, dsx, xi, dtx, tau):
+    def _advance_x(self, sel, i, j, xs, ps, qs, dsx, xi, dtx, tau):
         c = self.c
         dw = self.w[i, j]
         delta = 0.0  # a scalar start adds +0.0 as a zeros array would
@@ -436,13 +464,15 @@ class _SweepContext:
             delta = delta + c.b22(xs, xi, xi, tau, tau)
         new_dsx = dsx + delta
         new_dtx = dtx + delta
-        self.ds_x[i, j + 1] = self._live(dead, new_dsx, 0.0)
-        self.dt_x[i + 1, j] = self._live(dead, new_dtx, 0.0)
-        self.x[i + 1, j + 1] = self._live(dead, self.x[i, j + 1] + new_dsx, self.x[i, j])
+        self.ds_x[i, j + 1] = self._live(sel, new_dsx, 0.0)
+        self.dt_x[i + 1, j] = self._live(sel, new_dtx, 0.0)
+        self.x[i + 1, j + 1] = self._live(sel, self.x[i, j + 1] + new_dsx, self.x[i, j])
 
-    def _transport(self, side, i, j, dead, xs, ps, qs, own):
-        """side's companion and flow triple advance from nodes (i, j) one step;
-        own is the state's increment along it."""
+    def _transport(self, side, sel, i, j, xs, ps, qs, own):
+        """side's companion and flow triple advance from nodes (i, j), the
+        diagonal's nodes sel, one step; own is the state's increment along it.
+        Without b12 and b22 the second-order flow is never driven: it keeps
+        the zeros it was allocated with, and is neither read nor written."""
         a, b = i + side.di, j + side.dj
         dc = 0.0
         if side.k1 is not None:
@@ -450,7 +480,7 @@ class _SweepContext:
         if side.k2 is not None:
             dc = dc + side.k2(xs, ps, qs, own, own)
         ck = side.comp[i, j]
-        side.comp[a, b] = self._live(dead, ck + dc, ck)
+        side.comp[a, b] = self._live(sel, ck + dc, ck)
 
         # G and the brace below enter the flows only through _matmul, which
         # adds +0.0, and through I - G, so each may start from its first
@@ -469,11 +499,9 @@ class _SweepContext:
             G = np.broadcast_to(0.0, fk.shape)
         new_f = fk + _matmul(G, fk)
         new_fi = _matmul(fik, self.eye - G + _matmul(G, G))
-        dead_m = dead[..., None]
-        side.flow[a, b] = self._live(dead_m, new_f, fk)
-        side.flow_inv[a, b] = self._live(dead_m, new_fi, fik)
+        side.flow[a, b] = self._live(sel, new_f, fk)
+        side.flow_inv[a, b] = self._live(sel, new_fi, fik)
 
-        star_k = side.flow_star[i, j]
         if side.b12 is not None or side.b22 is not None:
             cols = np.swapaxes(fk, -1, -2)
             c1 = cols[..., :, None, :]
@@ -493,34 +521,34 @@ class _SweepContext:
             dd = fk.shape[-1]
             flat = brace.reshape(brace.shape[:-3] + (dd * dd, dd))
             prod = _matmul(fik, np.swapaxes(flat, -1, -2))
+            star_k = side.flow_star[i, j]
             new_star = star_k + prod.reshape(prod.shape[:-1] + (dd, dd))
-        else:
-            new_star = star_k
-        side.flow_star[a, b] = self._live(dead_m[..., None], new_star, star_k)
+            side.flow_star[a, b] = self._live(sel, new_star, star_k)
 
     def _complete(self, a, b, s_pred, t_pred):
-        """Both u and v now exist at nodes (a, b): update m, mask, finiteness.
+        """Both u and v now exist at nodes (a, b): update m, the mask (under a
+        finite M only) and the finiteness check.
 
         s_pred selects the nodes that have an s-predecessor (a - 1, b); with
         t_pred every node has a t-predecessor (a, b - 1).
         """
         run = _tuple_norm(self.u[a, b], self.u_inv[a, b], self.v[a, b], self.v_inv[a, b])
-        prev = np.zeros(run.shape, dtype=bool)
         pa, pb = a[s_pred] - 1, b[s_pred]
         run[s_pred] = np.maximum(run[s_pred], self.m_field[pa, pb])
-        prev[s_pred] |= self.blown[pa, pb]
         if t_pred:
             run = np.maximum(run, self.m_field[a, b - 1])
-            prev |= self.blown[a, b - 1]
         self.m_field[a, b] = run
-        if np.isinf(self.M):
-            newly = np.zeros_like(prev)
-        else:
+        live = True  # every node is live when nothing can freeze
+        if self.masked:
+            prev = np.zeros(run.shape, dtype=bool)
+            prev[s_pred] |= self.blown[pa, pb]
+            if t_pred:
+                prev |= self.blown[a, b - 1]
             with np.errstate(invalid="ignore"):
                 newly = ~(run <= self.M)  # NaN norms count as blown
-        blown = newly | prev
-        self.blown[a, b] = blown
-        live = ~blown
+            blown = newly | prev
+            self.blown[a, b] = blown
+            live = ~blown
         if np.any(live):
             finite = np.isfinite(run)
             for arr in (self.x[a, b], self.p[a, b], self.q[a, b]):

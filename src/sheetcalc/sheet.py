@@ -15,7 +15,6 @@ by matched noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,13 +130,15 @@ def dump_csv(field: SheetField, path) -> None:
     v = field.values
     if v.ndim != 3:
         raise ShapeError("CSV dump expects an unbatched field (values ndim 3)")
+    # the rows csv.writer would write: no field needs quoting, lines end \r\n
+    s_nodes = [repr(i * grid.ds) for i in range(grid.n_s + 1)]
+    t_nodes = [repr(j * grid.dt) for j in range(grid.n_t + 1)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "s", "t", "component", "value"])
-        for i in range(grid.n_s + 1):
-            for j in range(grid.n_t + 1):
-                for c in range(field.dim):
-                    writer.writerow(
-                        [i, j, repr(i * grid.ds), repr(j * grid.dt), c, repr(float(v[i, j, c]))]
-                    )
+        fh.write("i,j,s,t,component,value\r\n")
+        for i, (s, row) in enumerate(zip(s_nodes, v.astype(float, copy=False).tolist())):
+            fh.writelines(
+                f"{i},{j},{s},{t},{c},{x!r}\r\n"
+                for j, (t, node) in enumerate(zip(t_nodes, row))
+                for c, x in enumerate(node)
+            )

@@ -21,6 +21,7 @@ import pytest
 from sheetcalc.errors import ConfigurationError, ModelError, NumericsError
 from sheetcalc.hyperbolic import (
     CoefficientSet,
+    _tuple_norm,
     SystemBoundaries,
     blowup_monitor,
     bounded_test_coefficients,
@@ -460,6 +461,52 @@ class TestPathIndependence:
         assert np.all(frozen.domain_mask[1]) and np.all(free.domain_mask)
         for a in SOLUTION_ARRAYS:
             assert getattr(frozen, a)[1].tobytes() == getattr(free, a)[1].tobytes(), a
+
+
+class TestSkippedWork:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tuple_norm_equals_the_reduction(self, d):
+        # the norm adds squared entries without np.sum; its bits must be
+        # those of the four reductions, signed zeros and non-finite included
+        rng = np.random.default_rng(30 + d)
+        mats = []
+        for k in range(4):
+            a = rng.standard_normal((5, 7, d, d)) * np.exp(3.0 * rng.standard_normal((5, 7, d, d)))
+            a[0, k] = -0.0
+            a[1, k, 0, d - 1] = np.inf
+            a[2, k, d - 1, 0] = -np.inf
+            a[3, k, d // 2, d // 2] = np.nan
+            a[4, k] = 1e200  # squares overflow to inf
+            a[4, k + 1, 0, 0] = -0.0
+            mats.append(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [np.sum(a * a, axis=(-2, -1)) for a in mats]
+            expected = np.sqrt(sums[0] + sums[1] + sums[2] + sums[3])
+            got = _tuple_norm(*mats)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["bounded1d-3x7", "full-d2-9x5"])
+    def test_unreached_finite_threshold_equals_infinite(self, case):
+        # a finite M keeps the freeze mask; M = inf skips it.  With M above
+        # every running norm no node freezes, so both must agree bit for bit
+        coeffs, bounds, grid, incs, blowup_M = _pin_case(case)
+        assert np.isinf(blowup_M)
+        free = solve_system(coeffs, bounds, grid, incs)
+        M = 1.5 * float(np.max(free.m_field))
+        masked = solve_system(coeffs, bounds, grid, incs, blowup_M=M)
+        assert np.all(masked.domain_mask)
+        for a in SOLUTION_ARRAYS:
+            assert getattr(masked, a).tobytes() == getattr(free, a).tobytes(), a
+
+    @pytest.mark.parametrize("case", ["ou-d2-8x6", "bounded1d-7x3", "expgrow-frozen-12x10"])
+    def test_second_order_flows_vanish_without_b12_b22(self, case):
+        coeffs, bounds, grid, incs, blowup_M = _pin_case(case)
+        assert coeffs.b12 is None and coeffs.b21 is None and coeffs.b22 is None
+        sol = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M)
+        for star in (sol.u_star, sol.v_star):
+            assert star.shape == sol.u.shape[:-2] + (coeffs.d,) * 3
+            assert np.all(star == 0.0) and not np.any(np.signbit(star))
 
 
 def _exchanged(c: CoefficientSet) -> CoefficientSet:
