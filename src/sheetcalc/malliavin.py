@@ -22,8 +22,10 @@ carry arbitrary leading batch axes; callbacks must broadcast over them.
 Line state is stored step-major, (n+1, ..., d): each Euler step and each
 running integral reads and writes one contiguous slab of all paths.  The
 arrays handed out keep the batch-first shapes (..., n+1, d) as
-`np.moveaxis` views, so they are in general not contiguous.  The running
-integrals add one step at a time (`_partial_sums`), in `np.cumsum`'s order.
+`np.moveaxis` views, so they are in general not contiguous.  Both line
+functions take the driver's step-major increments from one helper,
+`_driver_increments`, and the running integrals C and R are
+`lattice.cumsum0` along the leading (step) axis, in `np.cumsum`'s order.
 Products of stacked small matrices go through `_matmul`, elementwise in
 index order, never through a stacked `@`; it is the package's one such
 product, and the hyperbolic sweep imports it.
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError, ShapeError
-from .lattice import Stream, normal_grid
+from .lattice import Stream, cumsum0, normal_grid
 
 _PROBE_POINTS = 8
 _PROBE_H = 1e-4
@@ -168,15 +170,24 @@ class MalliavinState:
         return float(np.max(np.abs(_matmul(self.U, self.U_inv) - eye)))
 
 
-def _line_values(z_line):
+def _driver_increments(vf: VectorFieldSet, z_line, ds):
+    """(dz, ds): the driver's increments, step-major (n, ..., m) and
+    contiguous, from one strided subtraction.  z_line is a path with
+    `values` and `step`, or a bare (..., n+1, m) array, which needs ds."""
     if hasattr(z_line, "values"):
-        return np.asarray(z_line.values, dtype=np.float64), z_line.step
-    return np.asarray(z_line, dtype=np.float64), None
-
-
-def _step_major(z):
-    """A contiguous copy of a (..., n+1, m) line with the s-index first."""
-    return np.ascontiguousarray(np.moveaxis(z, -2, 0))
+        z, step = np.asarray(z_line.values, dtype=np.float64), z_line.step
+    else:
+        z, step = np.asarray(z_line, dtype=np.float64), None
+    if ds is None:
+        ds = step
+    if ds is None:
+        raise ShapeError("ds must be given when z_line is a bare array")
+    if z.shape[-1] != vf.m:
+        raise ShapeError(f"driving path has {z.shape[-1]} components, model has m={vf.m}")
+    zs = np.moveaxis(z, -2, 0)
+    dz = np.empty((zs.shape[0] - 1,) + zs.shape[1:])
+    np.subtract(zs[1:], zs[:-1], out=dz)
+    return dz, ds
 
 
 def _matmul(a, b):
@@ -200,19 +211,6 @@ def _matvec(a, v):
     return _matmul(a, v[..., None])[..., 0]
 
 
-def _partial_sums(terms):
-    """Partial sums over the leading (step) axis with a zero slab first.
-
-    One add per step, each on a contiguous slab, in the order `np.cumsum`
-    adds, so it equals `lattice.cumsum0` along that axis bit for bit.
-    """
-    out = np.zeros((terms.shape[0] + 1,) + terms.shape[1:])
-    out[1:2] = terms[:1]
-    for k in range(1, terms.shape[0]):
-        np.add(out[k], terms[k], out=out[k + 1])
-    return out
-
-
 def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     """Euler sweep of the state, derivative flow and its inverse along one line.
 
@@ -220,22 +218,15 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
     batch-first views of step-major arrays.
     """
-    z, step = _line_values(z_line)
-    if ds is None:
-        ds = step
-    if ds is None:
-        raise ShapeError("ds must be given when z_line is a bare array")
-    if z.shape[-1] != vf.m:
-        raise ShapeError(f"driving path has {z.shape[-1]} components, model has m={vf.m}")
-    n = z.shape[-2] - 1
+    dz, ds = _driver_increments(vf, z_line, ds)
+    n = len(dz)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 0:
         x0 = x0[None]
     d = vf.d
     if x0.shape[-1] != d:
         raise ShapeError(f"x0 has {x0.shape[-1]} components, model has d={d}")
-    batch = np.broadcast_shapes(z.shape[:-2], x0.shape[:-1])
-    zs = _step_major(z)
+    batch = np.broadcast_shapes(dz.shape[1:-1], x0.shape[:-1])
     x = np.zeros((n + 1,) + batch + (d,))
     U = np.zeros((n + 1,) + batch + (d, d))
     U_inv = np.zeros((n + 1,) + batch + (d, d))
@@ -245,10 +236,9 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     U_inv[0] = eye
     for k in range(n):
         xk = x[k]
-        dz = zs[k + 1] - zs[k]
         diff, diff_jac, drift, drift_jac = vf.euler_terms(xk)
-        x[k + 1] = xk + np.einsum("...am,...m->...a", diff, dz) + drift * ds
-        M = np.einsum("...abm,...m->...ab", diff_jac, dz)
+        x[k + 1] = xk + np.einsum("...am,...m->...a", diff, dz[k]) + drift * ds
+        M = np.einsum("...abm,...m->...ab", diff_jac, dz[k])
         A = M + drift_jac * ds
         U[k + 1] = U[k] + _matmul(A, U[k])
         U_inv[k + 1] = _matmul(U_inv[k], eye - A + _matmul(A, A))
@@ -286,32 +276,29 @@ def compute_malliavin_line(
     fault="flip-r-sign" negates the R term inside L only; it exists so the
     verification suite can demonstrate that a wrong formula is detected.
     """
-    z, step = _line_values(z_line)
-    if ds is None:
-        ds = step
     if fault not in (None, "flip-r-sign"):
         raise ModelError(f"unknown fault {fault!r}")
+    dz, ds = _driver_increments(vf, z_line, ds)
     # step-major views: free on solve_state_line's output
     xs = np.moveaxis(x, -2, 0)
     Us = np.moveaxis(U, -3, 0)
     Uis = np.moveaxis(U_inv, -3, 0)
-    dz = np.diff(_step_major(z), axis=0)
     # a driver with fewer batch axes than the state lines up behind the s-index
     dz = dz.reshape(dz.shape[:1] + (1,) * (xs.ndim - dz.ndim) + dz.shape[1:])
     X = [vf.X[i](xs) for i in range(1, vf.m + 1)]
     # g[k, ..., :, i] = U_k^{-1} X_{i+1}(x_k)
     g = np.einsum("...ab,...bm->...am", Uis, np.stack(X, axis=-1))
     g_l = g[:-1]
-    C = _partial_sums(np.einsum("...am,...bm->...ab", g_l, g_l) * ds)
+    C = cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, axis=0)
     Gamma = np.einsum("...ab,...bc,...dc->...ad", Us, C, Us)
     g_mid = 0.5 * (g_l + g[1:])
-    R = -_partial_sums(np.einsum("...am,...m->...a", g_mid, dz))
+    R = -cumsum0(np.einsum("...am,...m->...a", g_mid, dz), axis=0)
 
     def make_L():
         # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint
         # weights on the dz contraction, left endpoint on the dr terms.  Each
         # callback runs once over the line; everything else is one step slab
-        # (*batch, ...) at a time, the integrals added in _partial_sums' order.
+        # (*batch, ...) at a time, the integrals added in np.cumsum's order.
         hess = [f(xs) for f in vf.hess_X]
         grad = [vf.grad_X[i](xs) for i in range(1, vf.m + 1)]
         r_in_l = -R if fault == "flip-r-sign" else R

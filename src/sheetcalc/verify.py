@@ -4,9 +4,12 @@ Every check is a paired estimator: both sides of an identity are computed
 path by path on identical driving noise (common random numbers via the
 counter-addressed generator), and the report's z-score uses the variance of
 the per-path differences.  Paths are processed in fixed-size blocks
-(`_map_blocks`) whose partial sums are combined in block order, so a report
-is bit-identical for any worker count.  A non-finite sample, or a solver
-failure inside a block, raises `NumericsError` naming the global path index.
+(`_map_blocks`).  Each block returns one vector of raw sums over its paths
+(`_block_sums`), and the runner adds the vectors in block order
+(`_add_blocks`), so a report is bit-identical for any worker count; each
+runner keeps its own sums and its own standard-error formula.  A non-finite
+sample, a sum that overflows, or a solver failure inside a block raises
+`NumericsError` naming the global path index.
 
 `pool_map` is the package's one thread pool: an ordered map of a function
 over a list of items.  `_map_blocks` runs path blocks on it, for the paired
@@ -123,38 +126,28 @@ def _check_finite(*samples):
         raise NumericsError("non-finite per-path sample", path=(int(bad[0]),))
 
 
-class _PairedSums:
-    """Blockwise moment accumulation for one paired sample."""
+def _block_sums(*terms):
+    """A block's raw-sum vector, each term summed over paths (axis 0).  An
+    overflow raises NumericsError at the first path (block-local) where a
+    running sum of some term stops being finite."""
+    sums = np.hstack([np.sum(t, axis=0) for t in terms])
+    if not np.all(np.isfinite(sums)):
+        bad = [np.flatnonzero(~np.isfinite(np.cumsum(t, axis=0)).reshape(len(t), -1).any(axis=1))
+               for t in terms]
+        first = min((int(b[0]) for b in bad if b.size), default=len(terms[0]) - 1)
+        raise NumericsError("non-finite sum over a block's paths", path=(first,))
+    return sums
 
-    def __init__(self):
-        self.n = 0
-        self.sums = np.zeros(5)  # sum_l, sum_r, sum_ll, sum_rr, sum_d2
 
-    def add(self, l, r):
-        """l, r: the per-path samples of both sides for one block of paths."""
-        _check_finite(l, r)
-        d = l - r
-        self.sums += (np.sum(l), np.sum(r), np.sum(l * l), np.sum(r * r), np.sum(d * d))
-        self.n += l.shape[0]
-
-    def merge(self, other):
-        self.sums += other.sums
-        self.n += other.n
-
-    def stats(self):
-        n = self.n
-        sl, sr, sll, srr, sdd = self.sums
-        ml = sl / n
-        mr = sr / n
-        var_l = max(0.0, (sll - n * ml * ml) / (n - 1))
-        var_r = max(0.0, (srr - n * mr * mr) / (n - 1))
-        md = ml - mr
-        var_d = max(0.0, (sdd - n * md * md) / (n - 1))
-        se_l = np.sqrt(var_l / n)
-        se_r = np.sqrt(var_r / n)
-        se_d = np.sqrt(var_d / n)
-        z = 0.0 if se_d == 0.0 else md / se_d
-        return ml, se_l, mr, se_r, md, se_d, z
+def _add_blocks(parts, chunk):
+    """`sum(parts)` in block order, the same at any worker count; an
+    overflow raises NumericsError at the first path of the block causing it."""
+    total = 0
+    for b, part in enumerate(parts):
+        total = total + part
+        if not np.all(np.isfinite(total)):
+            raise NumericsError("non-finite sum over path blocks", path=(b * chunk,))
+    return total
 
 
 def pool_map(fn, items, workers):
@@ -198,22 +191,32 @@ def _map_blocks(block_fn, n_paths, chunk, workers):
 
 
 def _run_paired(sample_fn, n_paths, chunk, workers):
-    """Evaluate sample_fn(start, count) -> (lhs, rhs) over fixed blocks;
-    merge in order."""
+    """Evaluate sample_fn(start, count) -> (lhs, rhs) over fixed blocks; the
+    raw sums (lhs, rhs, their squares and the squared difference), added in
+    block order."""
 
     def block(start, count):
-        acc = _PairedSums()
-        acc.add(*sample_fn(start, count))
-        return acc
+        l, r = sample_fn(start, count)
+        _check_finite(l, r)
+        d = l - r
+        return _block_sums(l, r, l * l, r * r, d * d)
 
-    total = _PairedSums()
-    for part in _map_blocks(block, n_paths, chunk, workers):
-        total.merge(part)  # fixed block order: reports are worker-invariant
-    return total
+    return _add_blocks(_map_blocks(block, n_paths, chunk, workers), chunk)
 
 
-def _report(total, n_paths, workers, extras=None) -> MCReport:
-    ml, se_l, mr, se_r, md, se_d, z = total.stats()
+def _report(sums, n_paths, workers, extras=None) -> MCReport:
+    n = n_paths
+    sl, sr, sll, srr, sdd = sums
+    ml = sl / n
+    mr = sr / n
+    var_l = max(0.0, (sll - n * ml * ml) / (n - 1))
+    var_r = max(0.0, (srr - n * mr * mr) / (n - 1))
+    md = ml - mr
+    var_d = max(0.0, (sdd - n * md * md) / (n - 1))
+    se_l = np.sqrt(var_l / n)
+    se_r = np.sqrt(var_r / n)
+    se_d = np.sqrt(var_d / n)
+    z = 0.0 if se_d == 0.0 else md / se_d
     return MCReport(
         lhs_mean=float(ml), lhs_se=float(se_l), rhs_mean=float(mr),
         rhs_se=float(se_r), n_paths=n_paths, z_score=float(z),
@@ -380,23 +383,6 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
     return _report(total, n_paths, workers, {"t_gaps": gaps})
 
 
-class _MomentSums:
-    def __init__(self, n_lags):
-        self.n = 0
-        self.s = np.zeros(n_lags)
-        self.ss = np.zeros(n_lags)
-
-    def add(self, samples):
-        self.n += samples.shape[0]
-        self.s += np.sum(samples, axis=0)
-        self.ss += np.sum(samples * samples, axis=0)
-
-    def merge(self, other):
-        self.n += other.n
-        self.s += other.s
-        self.ss += other.ss
-
-
 def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
                     seed: int, workers: int = 1, model: Optional[Model] = None,
                     coeffs: Optional[CoefficientSet] = None) -> HolderReport:
@@ -449,19 +435,15 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
 
     def block(start, count):
         vals = level_values(start, count)
-        samples = [np.abs(v - vals[0]) ** alpha for v in vals[1:]]
-        _check_finite(*samples)
-        acc = _MomentSums(len(lags))
-        acc.add(np.stack(samples, axis=-1))
-        return acc
+        samples = np.stack([np.abs(v - vals[0]) ** alpha for v in vals[1:]], axis=-1)
+        _check_finite(*samples.T)
+        return _block_sums(samples, samples * samples)
 
-    acc = _MomentSums(len(lags))
-    for part in _map_blocks(block, n_paths, chunk, workers):
-        acc.merge(part)
-
-    moments = acc.s / acc.n
-    var = np.maximum(0.0, (acc.ss - acc.n * moments**2) / (acc.n - 1))
-    moment_ses = np.sqrt(var / acc.n)
+    sums = _add_blocks(_map_blocks(block, n_paths, chunk, workers), chunk)
+    n = n_paths
+    moments = sums[:len(lags)] / n
+    var = np.maximum(0.0, (sums[len(lags):] - n * moments**2) / (n - 1))
+    moment_ses = np.sqrt(var / n)
     if np.any(moments <= 0.0):
         raise DegenerateDataError("all-zero lag moments: nothing to regress on")
 

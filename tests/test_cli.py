@@ -345,6 +345,29 @@ class TestRunCommands:
         assert "path=(7,)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_overflowing_ibp_sums_exit_3_without_report(self, tmp_path, capsys):
+        # every sample is finite (lhs about 1e242), but its square is not:
+        # the SEs must not come out 0 and the verdict must not pass
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
+        cfg["model"] = {"preset": "linear1d", "x0": [1e60]}
+        cfg["run"] = {"command": "run-ibp", "payoff_f": "square", "payoff_g": "square"}
+        assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
+        err = capsys.readouterr().err
+        assert "non-finite sum" in err and "path=(0,)" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_overflowing_holder_sums_exit_3_without_report(self, tmp_path, capsys):
+        # finite lag moments whose squares overflow: no NaN moment_ses
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 20})
+        cfg["grid"] = {"n_s": 8, "n_t": 4, "ds": 0.125, "dt": 1.0 / 16}
+        cfg["model"] = {"preset": "linear1d", "x0": [1e100]}
+        cfg["run"] = {"command": "holder-scan", "target": "x",
+                      "lags": [1.0 / 16, 1.0 / 8, 1.0 / 4]}
+        assert run(_write(tmp_path, cfg)) == 3
+        err = capsys.readouterr().err
+        assert "non-finite sum" in err and "path=(0,)" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_simulate_sheet_probes(self, tmp_path):
         cfg = _cfg(tmp_path, **{"mc.n_paths": 4000})
         cfg["run"] = {"command": "simulate-sheet", "field_dump": True}

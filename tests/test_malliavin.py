@@ -13,7 +13,6 @@ from sheetcalc.malliavin import (
     Payoff,
     VectorFieldSet,
     _matmul,
-    _partial_sums,
     apply_L,
     compute_malliavin_line,
     solve_state_line,
@@ -189,25 +188,37 @@ class TestStateLine:
 
 
 class TestPartialSums:
+    """`lattice.cumsum0`, the one partial-sum function (C and R here, the
+    boundary lines and the Ito integrals elsewhere), against a zero slab
+    concatenated with `np.cumsum`, bit for bit."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 200),
         batch=st.lists(st.integers(1, 4), max_size=2),
+        # 600 paths make a leading-axis step slab wide enough for the slab loop
+        paths=st.sampled_from([1, 3, 600]),
         trailing=st.sampled_from([(1,), (2,), (3,), (2, 2), (3, 3)]),
+        leading=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_cumsum0_bitwise(self, n, batch, trailing, seed):
+    def test_equals_cumsum0_bitwise(self, n, batch, paths, trailing, leading, seed):
         rng = np.random.default_rng(seed)
-        shape = tuple(batch) + (n,) + trailing
+        if leading:
+            # step-major, as the Malliavin line stores C and R
+            shape, step_axis = (n, paths) + tuple(batch) + trailing, 0
+        else:
+            # a step axis inside batch axes, as the boundary and Ito lines
+            shape, step_axis = tuple(batch) + (n,) + trailing, len(batch)
         # magnitudes from 1e-8 to 1e8, both signs, some exact (and negative) zeros
         terms = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
         terms[rng.random(shape) < 0.05] = 0.0
         terms[rng.random(shape) < 0.05] = -0.0
-        step_axis = len(batch)
-        expect = cumsum0(terms, axis=step_axis)
-        got = np.moveaxis(_partial_sums(np.moveaxis(terms, step_axis, 0)), 0, step_axis)
-        assert got.shape == expect.shape
-        assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+        zero = np.zeros_like(np.take(terms, [0], axis=step_axis))
+        expect = np.concatenate([zero, np.cumsum(terms, axis=step_axis)], axis=step_axis)
+        got = cumsum0(terms, axis=step_axis - len(shape))
+        assert got.shape == expect.shape and got.flags.c_contiguous
+        assert got.tobytes() == expect.tobytes()
 
 
 def _index_order_matmul(a, b):
@@ -346,6 +357,16 @@ class TestMalliavinObjects:
         model, z, x, U, Uinv = _linear_state(4, 11)
         with pytest.raises(ModelError):
             compute_malliavin_line(model.vf, x, U, Uinv, z, DS, fault="no-such-fault")
+
+    def test_ds_required_for_bare_arrays(self):
+        model, z, x, U, Uinv = _linear_state(4, 11)
+        with pytest.raises(ShapeError, match="ds must be given"):
+            compute_malliavin_line(model.vf, x, U, Uinv, np.asarray(z))
+
+    def test_wrong_driver_width(self):
+        model, z, x, U, Uinv = _linear_state(4, 11)
+        with pytest.raises(ShapeError, match="model has m=1"):
+            compute_malliavin_line(model.vf, x, U, Uinv, np.concatenate([z, z], axis=-1), DS)
 
 
 class TestApplyL:

@@ -216,6 +216,26 @@ class TestNonFiniteSamples:
         assert info.value.path == (2500,)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_square_names_its_global_path(self, workers):
+        def sample(start, count):
+            paths = np.arange(start, start + count)
+            return np.where(paths == 2500, 1e200, 1.0), np.zeros(count)
+
+        with pytest.raises(NumericsError, match="non-finite sum over a block") as info:
+            _run_paired(sample, 4000, 1000, workers)
+        assert info.value.path == (2500,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_across_blocks_names_the_block(self, workers):
+        # each block's sum of squares is finite (9.8e307), two of them are not
+        def sample(start, count):
+            return np.full(count, 7e153), np.zeros(count)
+
+        with pytest.raises(NumericsError, match="non-finite sum over path blocks") as info:
+            _run_paired(sample, 6, 2, workers)
+        assert info.value.path == (2,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_solver_failure_names_its_global_path(self, workers, monkeypatch):
         # the second LINE_CHUNK block starts at 16384: path 16390 is its 7th
         poison_path(monkeypatch, Stream.BOUNDARY_S, 16390)
