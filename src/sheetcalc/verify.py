@@ -8,8 +8,9 @@ the per-path differences.  Paths are processed in fixed-size blocks
 (`_block_sums`), and the runner adds the vectors in block order
 (`_add_blocks`), so a report is bit-identical for any worker count; each
 runner keeps its own sums and its own standard-error formula.  A non-finite
-sample, a sum that overflows, or a solver failure inside a block raises
-`NumericsError` naming the global path index.
+sample or a solver failure inside a block raises `NumericsError` naming the
+global path index; a sum that overflows raises it naming the first path of
+the block that made the total non-finite.
 
 `pool_map` is the package's one thread pool: an ordered map of a function
 over a list of items.  `_map_blocks` runs path blocks on it, for the paired
@@ -127,16 +128,8 @@ def _check_finite(*samples):
 
 
 def _block_sums(*terms):
-    """A block's raw-sum vector, each term summed over paths (axis 0).  An
-    overflow raises NumericsError at the first path (block-local) where a
-    running sum of some term stops being finite."""
-    sums = np.hstack([np.sum(t, axis=0) for t in terms])
-    if not np.all(np.isfinite(sums)):
-        bad = [np.flatnonzero(~np.isfinite(np.cumsum(t, axis=0)).reshape(len(t), -1).any(axis=1))
-               for t in terms]
-        first = min((int(b[0]) for b in bad if b.size), default=len(terms[0]) - 1)
-        raise NumericsError("non-finite sum over a block's paths", path=(first,))
-    return sums
+    """A block's raw-sum vector: each term summed over paths (axis 0)."""
+    return np.hstack([np.sum(t, axis=0) for t in terms])
 
 
 def _add_blocks(parts, chunk):

@@ -216,14 +216,15 @@ class TestNonFiniteSamples:
         assert info.value.path == (2500,)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_overflowing_square_names_its_global_path(self, workers):
+    def test_overflowing_square_names_its_block(self, workers):
+        # path 2500's square overflows: the error names its block's first path
         def sample(start, count):
             paths = np.arange(start, start + count)
             return np.where(paths == 2500, 1e200, 1.0), np.zeros(count)
 
-        with pytest.raises(NumericsError, match="non-finite sum over a block") as info:
+        with pytest.raises(NumericsError, match="non-finite sum over path blocks") as info:
             _run_paired(sample, 4000, 1000, workers)
-        assert info.value.path == (2500,)
+        assert info.value.path == (2000,)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_across_blocks_names_the_block(self, workers):
