@@ -196,7 +196,7 @@ class TestPartialSums:
     @given(
         n=st.integers(1, 200),
         batch=st.lists(st.integers(1, 4), max_size=2),
-        # 600 paths make a leading-axis step slab wide enough for the slab loop
+        # paths per leading-axis step slab, from a lone unbatched line to a wide batch
         paths=st.sampled_from([1, 3, 600]),
         trailing=st.sampled_from([(1,), (2,), (3,), (2, 2), (3, 3)]),
         leading=st.booleans(),
