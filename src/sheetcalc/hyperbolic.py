@@ -58,10 +58,10 @@ by one in numpy's own order, without a reduction call.
 
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
-indices).  When several nodes are bad, the one named is the first in the
-order of an s-major cell-by-cell sweep, which checks the corner (0, 0)
-first, node (a, b >= 1) in row a at cell b - 1, and node (a + 1, 0) in row a
-just after node (a, 1).
+indices).  The check runs once, after the sweep finishes.  When several
+nodes are bad, the one named is the first in the order of an s-major
+cell-by-cell sweep, which checks the corner (0, 0) first, node (a, b >= 1)
+in row a at cell b - 1, and node (a + 1, 0) in row a just after node (a, 1).
 """
 
 from __future__ import annotations
@@ -272,32 +272,36 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
     w = incs.values
     if w.shape[-3:] != (S, T, coeffs.m):
         raise ShapeError(f"increments shaped {w.shape[-3:]} do not fit grid/model")
-    if xb_s.shape[-2] != S + 1 or xb_t.shape[-2] != T + 1:
-        raise ShapeError("x boundary lengths do not match the grid")
-    if pb.shape[-2] != T + 1 or qb.shape[-2] != S + 1:
-        raise ShapeError("p/q boundary lengths do not match the grid")
+    d, n = coeffs.d, coeffs.n
+    for name, b, want in (("x_s0", xb_s, (S + 1, d)), ("x_0t", xb_t, (T + 1, d)),
+                          ("p_0t", pb, (T + 1, n)), ("q_s0", qb, (S + 1, n))):
+        if b.shape[-2:] != want:
+            raise ShapeError(f"{name} ends in {b.shape[-2:]}, not (nodes, width) = {want}")
     ca, cb = np.broadcast_arrays(xb_s[..., 0, :], xb_t[..., 0, :])
     if not np.array_equal(ca, cb, equal_nan=True):
         raise ConfigurationError("corner inconsistency: x_s0[0] differs from x_0t[0]")
 
     ctx = _SweepContext(coeffs, xb_s, xb_t, pb, qb, w, blowup_M)
-    # the corner has no predecessor; its key sorts before every other node's
-    corner = np.zeros(1, dtype=int)
-    ctx._complete(corner, corner, s_pred=slice(0), t_pred=False)
     # Anti-diagonal wavefront: node (i, j) depends only on (i-1, j), (i, j-1)
     # and (i-1, j-1), so step k advances every node on diagonal i + j = k.
     # Overflow to inf is monitored semantics (caught by the mask or raised
     # as NumericsError), so the low-level warnings stay silent.
     with np.errstate(over="ignore", invalid="ignore"):
+        ctx._complete(0)
         for k in range(S + T):
             ctx.diagonal(k)
-            # the nodes a cell sweep checks in rows <= r lie on diagonals
-            # <= r + T: once those are done, no earlier bad node can appear
-            if ctx.bad and k + 1 >= min(b[0][0] for b in ctx.bad) + T:
-                break
-    if ctx.bad:
-        _, cell, path = min(ctx.bad)
-        raise NumericsError(f"non-finite value in-domain at node {cell}", cell=cell, path=path)
+            ctx._complete(k + 1)
+
+    finite = np.isfinite(ctx.m_field)
+    for arr in (ctx.x, ctx.p, ctx.q):
+        finite &= np.all(np.isfinite(arr), axis=-1)
+    bad = ~ctx.blown & ~finite
+    nodes = np.argwhere(bad.reshape(S + 1, T + 1, -1).any(axis=-1)).tolist()
+    if nodes:
+        # the first node of the cell sweep's order (module docstring)
+        a, b = min(nodes, key=lambda n: (n[0], n[1] - 1, 0) if n[1] else (n[0] - 1, 0, 1))
+        path = tuple(int(v) for v in np.argwhere(bad[a, b])[0])
+        raise NumericsError(f"non-finite value in-domain at node {(a, b)}", cell=(a, b), path=path)
 
     def batch_first(a, trail):
         return np.moveaxis(a, (0, 1), (a.ndim - trail - 2, a.ndim - trail - 1))
@@ -327,12 +331,7 @@ def _bind(fn, slot):
 
 class _SweepContext:
     """Mutable node-major state of one sweep, advanced one anti-diagonal at a
-    time; index arrays (i, j) address the nodes of a diagonal.
-
-    `bad` collects (key, cell, path) of in-domain non-finite nodes.  The key
-    (row, cell, slot) is where an s-major cell-by-cell sweep checks the node
-    (see the module docstring), so the smallest key is the node it names.
-    """
+    time; index arrays (i, j) address the nodes of a diagonal."""
 
     def __init__(self, coeffs, xb_s, xb_t, pb, qb, w, blowup_M):
         c = self.c = coeffs
@@ -372,7 +371,6 @@ class _SweepContext:
         self.M = blowup_M
         # at M = inf no node can freeze, so `blown` stays all False
         self.masked = not np.isinf(blowup_M)
-        self.bad = []
         self.dead = None  # the current diagonal's frozen paths, (nodes, *batch)
         self.all_live = True  # no path dead on the current diagonal
 
@@ -417,20 +415,16 @@ class _SweepContext:
         tau = self._live(t, dtx, 0.0)
 
         self._transport(self.s_side, s, i[s], j[s], xs[s], ps[s], qs[s], xi)
-        if j[hi - 1] == 0:
+        if k < S:
             # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
-            a = i[hi - 1:hi] + 1
-            self.v[a, 0] = self.u[a, 0]
-            self.v_inv[a, 0] = self.u_inv[a, 0]
-            self._complete(a, j[hi - 1:hi], s_pred=slice(None), t_pred=False)
+            self.v[k + 1, 0] = self.u[k + 1, 0]
+            self.v_inv[k + 1, 0] = self.u_inv[k + 1, 0]
 
         self._transport(self.t_side, t, i[t], j[t], xs[t], ps[t], qs[t], tau)
-        on_axis = i[lo] == 0
-        if on_axis:
+        if k < T:
             # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
-            self.u[0, j[lo] + 1] = self.v[0, j[lo] + 1]
-            self.u_inv[0, j[lo] + 1] = self.v_inv[0, j[lo] + 1]
-        self._complete(i[t], j[t] + 1, s_pred=slice(1 if on_axis else 0, None), t_pred=True)
+            self.u[0, k + 1] = self.v[0, k + 1]
+            self.u_inv[0, k + 1] = self.v_inv[0, k + 1]
 
         if lo < hi:
             cell = slice(lo, hi)
@@ -525,40 +519,24 @@ class _SweepContext:
             new_star = star_k + prod.reshape(prod.shape[:-1] + (dd, dd))
             side.flow_star[a, b] = self._live(sel, new_star, star_k)
 
-    def _complete(self, a, b, s_pred, t_pred):
-        """Both u and v now exist at nodes (a, b): update m, the mask (under a
-        finite M only) and the finiteness check.
-
-        s_pred selects the nodes that have an s-predecessor (a - 1, b); with
-        t_pred every node has a t-predecessor (a, b - 1).
+    def _complete(self, k):
+        """Both u and v now exist on diagonal k: update m and, under a finite
+        M only, the mask.  A node's running sup takes its s-predecessor
+        (a - 1, b) first, if a > 0, then its t-predecessor (a, b - 1), if b > 0.
         """
+        a = np.arange(max(0, k - self.T), min(self.S, k) + 1)
+        b = k - a
+        s = slice(1 if a[0] == 0 else 0, None)
+        t = slice(None, -1 if b[-1] == 0 else None)
         run = _tuple_norm(self.u[a, b], self.u_inv[a, b], self.v[a, b], self.v_inv[a, b])
-        pa, pb = a[s_pred] - 1, b[s_pred]
-        run[s_pred] = np.maximum(run[s_pred], self.m_field[pa, pb])
-        if t_pred:
-            run = np.maximum(run, self.m_field[a, b - 1])
+        run[s] = np.maximum(run[s], self.m_field[a[s] - 1, b[s]])
+        run[t] = np.maximum(run[t], self.m_field[a[t], b[t] - 1])
         self.m_field[a, b] = run
-        live = True  # every node is live when nothing can freeze
         if self.masked:
-            prev = np.zeros(run.shape, dtype=bool)
-            prev[s_pred] |= self.blown[pa, pb]
-            if t_pred:
-                prev |= self.blown[a, b - 1]
-            with np.errstate(invalid="ignore"):
-                newly = ~(run <= self.M)  # NaN norms count as blown
-            blown = newly | prev
+            blown = ~(run <= self.M)  # NaN norms count as blown
+            blown[s] |= self.blown[a[s] - 1, b[s]]
+            blown[t] |= self.blown[a[t], b[t] - 1]
             self.blown[a, b] = blown
-            live = ~blown
-        if np.any(live):
-            finite = np.isfinite(run)
-            for arr in (self.x[a, b], self.p[a, b], self.q[a, b]):
-                finite = finite & np.all(np.isfinite(arr), axis=-1)
-            bad = live & ~finite
-            for node in np.flatnonzero(bad.reshape(len(a), -1).any(axis=1)):
-                na, nb = int(a[node]), int(b[node])
-                key = (na - 1, 0, 1) if nb == 0 else (na, nb - 1, 0)
-                path = tuple(int(k) for k in np.argwhere(bad[node])[0])
-                self.bad.append((key, (na, nb), path))
 
 
 def blowup_monitor(sol: HyperbolicSolution) -> BlowupSummary:

@@ -162,7 +162,7 @@ def cumsum0(terms, axis):
     if axis > 0:
         np.cumsum(terms, axis=axis, out=out[(slice(None),) * axis + (slice(1, None),)])
         return out
-    out[1] = terms[0]
+    out[1:2] = terms[:1]  # nothing to copy when terms is empty
     for k in range(1, len(terms)):
         np.add(out[k], terms[k], out=out[k + 1])
     return out

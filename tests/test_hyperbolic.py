@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetcalc.errors import ConfigurationError, ModelError, NumericsError
+from sheetcalc.errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from sheetcalc.hyperbolic import (
     CoefficientSet,
     _tuple_norm,
@@ -159,6 +159,16 @@ class TestValidationAndErrors:
         with pytest.raises(NumericsError) as err:
             solve_system(coeffs, bounds, grid, incs)
         assert err.value.cell is not None
+
+    @pytest.mark.parametrize("line, width", [("x_s0", 1), ("x_0t", 1), ("p_0t", 2), ("q_s0", 2)])
+    def test_boundary_of_the_wrong_width_is_named(self, line, width):
+        # d = 2, n = 1: a width-1 x line would broadcast to both components
+        grid = Grid(4, 4, 0.25, 0.25)
+        bounds = _zero_bounds(grid, d=2)
+        setattr(bounds, line, np.zeros((len(getattr(bounds, line)), width)))
+        with pytest.raises(ShapeError, match=line):
+            solve_system(identity_noise_coefficients(2, 1, 2), bounds, grid,
+                         _incs(grid, 5, None, 2))
 
     def test_asymmetric_quadratic_coefficient_rejected(self):
         def bad_a2(x, p, q, dw1, dw2):
@@ -565,6 +575,37 @@ class TestFailingNodeOrder:
             solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
         assert err.value.cell == (1, 7)
         assert err.value.path == (1,)
+
+    @pytest.mark.parametrize("shape, path1_cell, expected", [
+        ((5, 9), (0, 7), (1, 8)),
+        ((9, 5), (1, 4), (2, 5)),
+    ])
+    def test_names_the_first_bad_node_in_row_order_on_rectangles(self, shape, path1_cell,
+                                                                 expected):
+        # as above on S < T and S > T grids: the bad node (4, 1) of path 3
+        # lies on an earlier anti-diagonal than `expected` of path 1
+        grid = Grid(*shape, 1.0 / shape[0], 1.0 / shape[1])
+        incs = _incs(grid, 18, 4)
+        incs.values[(1,) + path1_cell + (0,)] = np.nan
+        incs.values[3, 3, 0, 0] = np.nan
+        with pytest.raises(NumericsError) as err:
+            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
+        assert err.value.cell == expected
+        assert err.value.path == (1,)
+
+    def test_nan_cell_under_a_finite_threshold_leaves_the_domain(self):
+        # the NaN increment of path 1 in cell (2, 3) makes x, u and so m NaN
+        # at node (3, 4); a NaN norm counts as blown, so that node and every
+        # node above and right of it leave the domain and nothing is raised
+        grid = Grid(6, 6, 1.0 / 6, 1.0 / 6)
+        incs = _incs(grid, 18, 2)
+        incs.values[1, 2, 3, 0] = np.nan
+        sol = solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs,
+                           blowup_M=1e3)
+        assert np.isnan(sol.x[1, 3, 4, 0]) and np.isnan(sol.m_field[1, 3, 4])
+        outside = np.zeros((2, 7, 7), dtype=bool)
+        outside[1, 3:, 4:] = True
+        assert np.array_equal(sol.domain_mask, ~outside)
 
     def test_finds_an_earlier_bad_node_on_a_late_diagonal(self):
         # node (5, 1) of path 1 goes bad on diagonal 6; node (4, 8) of path 0,

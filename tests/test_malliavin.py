@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sheetcalc.errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from sheetcalc.lattice import Grid, NoiseSpec, cumsum0, sample_boundary_bm
@@ -202,6 +202,9 @@ class TestPartialSums:
         leading=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # an empty step axis leaves the zero slab alone, on both axis kinds
+    @example(n=0, batch=[2], paths=3, trailing=(2,), leading=True, seed=0)
+    @example(n=0, batch=[2], paths=3, trailing=(2,), leading=False, seed=0)
     def test_equals_cumsum0_bitwise(self, n, batch, paths, trailing, leading, seed):
         rng = np.random.default_rng(seed)
         if leading:
@@ -214,7 +217,7 @@ class TestPartialSums:
         terms = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
         terms[rng.random(shape) < 0.05] = 0.0
         terms[rng.random(shape) < 0.05] = -0.0
-        zero = np.zeros_like(np.take(terms, [0], axis=step_axis))
+        zero = np.zeros(shape[:step_axis] + (1,) + shape[step_axis + 1:])
         expect = np.concatenate([zero, np.cumsum(terms, axis=step_axis)], axis=step_axis)
         got = cumsum0(terms, axis=step_axis - len(shape))
         assert got.shape == expect.shape and got.flags.c_contiguous
@@ -362,6 +365,16 @@ class TestMalliavinObjects:
         model, z, x, U, Uinv = _linear_state(4, 11)
         with pytest.raises(ShapeError, match="ds must be given"):
             compute_malliavin_line(model.vf, x, U, Uinv, np.asarray(z))
+
+    def test_one_node_line(self):
+        # no step: C, R and L stay at their zero start
+        model = linear_1d()
+        z = _zline(128, 4, 11)[..., :1, :]
+        x, U, Uinv = solve_state_line(model.vf, z, model.x0, DS)
+        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        assert st.C.shape == (4, 1, 1, 1) and not np.any(st.C)
+        assert st.R.shape == (4, 1, 1) and not np.any(st.R)
+        assert st.L.shape == (4, 1, 1) and not np.any(st.L)
 
     def test_wrong_driver_width(self):
         model, z, x, U, Uinv = _linear_state(4, 11)
