@@ -55,6 +55,7 @@ from .malliavin import (
     VectorFieldSet,
     apply_L,
     compute_malliavin_line,
+    fold_line,
     solve_state_line,
 )
 from .models import (

@@ -31,9 +31,13 @@ one-parameter equation bit-exactly, and the specialized OU solver in
 `sheet` reproduces this sweep bit-for-bit with matched noise.
 
 Blow-up: m = running sup of the Frobenius norm of the concatenated tuple
-(u, u^{-1}, v, v^{-1}); nodes whose m exceeds blowup_M freeze at their last
-in-domain value and drop out of the domain mask, which stays an initial
-open set by construction.
+(u, u^{-1}, v, v^{-1}); nodes whose m exceeds blowup_M drop out of the
+domain mask, which stays an initial open set by construction.  The first
+out-of-domain node keeps the value computed at it, whatever that is (it may
+be non-finite), not the last in-domain one.  A step out of a dead node
+copies its state, companions and flows onward and zeroes its increments
+(the cell with lower-left corner (i, j) gives (i + 1, j + 1) the x of
+(i, j)), so the nodes above and to the right of it copy that value.
 
 Sweep order and storage: node (i, j) depends only on (i-1, j), (i, j-1) and
 (i-1, j-1), so the sweep advances one anti-diagonal i + j = k at a time

@@ -131,11 +131,20 @@ class CellIncrements:
 
 
 @dataclass
-class BoundaryPath:
-    """One-parameter boundary data values[..., k, c] at nodes k*step."""
+class LineProcess:
+    """One-parameter line values[..., k, c] at nodes k*step: boundary data,
+    a driving path, or a field restricted to one line."""
 
     values: np.ndarray
     step: float
+
+    @classmethod
+    def from_values(cls, values, step):
+        """A line from its values; a 1-D array is one component."""
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim == 1:
+            v = v[:, None]
+        return cls(v, step)
 
     @classmethod
     def zero(cls, n: int, step: float, dim: int, batch: tuple = ()):
@@ -144,6 +153,10 @@ class BoundaryPath:
     @classmethod
     def deterministic(cls, values: np.ndarray, step: float):
         return cls(np.asarray(values, dtype=np.float64), step)
+
+
+#: The boundary-data name of the one line type.
+BoundaryPath = LineProcess
 
 
 def cumsum0(terms, axis):

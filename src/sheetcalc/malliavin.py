@@ -19,24 +19,37 @@ then forms
 with Gamma inside the L integrand frozen at the left endpoint.  All arrays
 carry arbitrary leading batch axes; callbacks must broadcast over them.
 
-Line state is stored step-major, (n+1, ..., d): each Euler step and each
-running integral reads and writes one contiguous slab of all paths.  The
-arrays handed out keep the batch-first shapes (..., n+1, d) as
-`np.moveaxis` views, so they are in general not contiguous.  Both line
-functions take the driver's step-major increments from one helper,
-`_driver_increments`, and the running integrals C and R are
-`lattice.cumsum0` along the leading (step) axis, in `np.cumsum`'s order.
-Products of stacked small matrices go through `_matmul`, elementwise in
-index order, never through a stacked `@`; it is the package's one such
-product, and the hyperbolic sweep imports it.
+One forward pass per line.  `_state_nodes` walks the Euler line node by
+node, holding x_k, and for a flow line U_k and U_k^{-1}, as one slab of every
+path; it calls `VectorFieldSet.euler_terms` once at x_k and steps to node
+k + 1.  A state-only line, one whose reader needs x alone, steps without U,
+U^{-1} or any hess X call.  `_LineIntegrals` is the step kernel of the
+objects above: from node k's U, U^{-1} and callback values it adds one slab
+to the running C and R and to L's three running sums.  R's midpoint weight
+and that of hess(X_i):Gamma o dz need node k + 1, so each step's midpoint
+terms are finished one node late.  The kernel is slab arithmetic only; its
+callers pass it every callback value, and every sum adds one slab per step
+in `lattice.cumsum0`'s order.
 
-`VectorFieldSet.euler_terms` evaluates everything one Euler step needs with
-each callback called once.  `compute_malliavin_line` evaluates X_1..X_m once
-per line; L, and with it every grad X and hess X callback it needs, is
-computed once on the first read of `MalliavinState.L`, so a caller that
-reads only U, C, R or Gamma never pays for it.  That read calls each of
-those callbacks once over the whole line, then forms L's contractions and
-running integrals one step slab at a time.
+`fold_line` runs the walk and the kernel together and keeps the last node
+only, as a one-node `MalliavinState` holding just what its caller reads
+(`reads`): this is what the paired runners in `verify` use, so a block holds
+slabs and the driver, not whole lines.  The library's whole-line API
+records every slab instead, in step-major arrays (n+1, ..., d) handed out as
+batch-first views (..., n+1, d), so in general not contiguous:
+`solve_state_line` records the walk, and `compute_malliavin_line` runs the
+kernel over a solved line, feeding it slices of X_1..X_m evaluated once over
+the line, for C, Gamma and R.  L, and with it every grad X and hess X callback it needs, is
+computed on the first read of `MalliavinState.L`: that read evaluates those
+callbacks once over the line and runs the kernel again with L's sums on, so
+a caller that reads only U, C, R or Gamma never pays for it.
+
+A non-finite state raises NumericsError naming the lowest bad path, then its
+first bad node; the walk keeps each path's first bad node as it goes.  The
+driver's increments come from one helper, `_driver_increments`, once per
+line.  Products of stacked small matrices go through `_matmul`, elementwise
+in index order, never through a stacked `@`; it is the package's one such
+product, and the hyperbolic sweep imports it.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError, ShapeError
-from .lattice import Stream, cumsum0, normal_grid
+from .lattice import LineProcess, Stream, normal_grid
 
 _PROBE_POINTS = 8
 _PROBE_H = 1e-4
@@ -98,23 +111,31 @@ class VectorFieldSet:
             _check_jacobian(self.X[i], self.grad_X[i], pts, _PROBE_H, f"X_{i}")
             _check_jacobian(self.grad_X[i], self.hess_X[i], pts, _PROBE_H, f"grad X_{i}")
 
-    def euler_terms(self, x):
+    def euler_terms(self, x, flow=True):
         """What one Euler step needs at x, each callback called at most once.
 
         Returns the diffusion X_1..X_m (..., d, m), its Jacobian (..., d, d, m),
-        the Ito drift Xt0 = X0 + (1/2) sum_i grad(X_i).X_i and its Jacobian
-        grad X0 + (1/2) sum_i (hess X_i : X_i + grad X_i grad X_i).
+        the Ito drift Xt0 = X0 + (1/2) sum_i grad(X_i).X_i, its Jacobian
+        grad X0 + (1/2) sum_i (hess X_i : X_i + grad X_i grad X_i) and the
+        list of hess X_1..X_m that Jacobian takes.  With flow=False, for a
+        step of the state alone, the last three are None and no hess
+        callback runs.
         """
         X = [f(x) for f in self.X]
         J = [f(x) for f in self.grad_X]
-        drift, drift_jac = X[0], J[0]
+        drift = X[0]
         for i in range(1, self.m + 1):
             drift = drift + 0.5 * np.einsum("...ab,...b->...a", J[i], X[i])
+        if not flow:
+            return np.stack(X[1:], axis=-1), None, drift, None, None
+        H = [self.hess_X[i](x) for i in range(1, self.m + 1)]
+        drift_jac = J[0]
+        for i in range(1, self.m + 1):
             drift_jac = drift_jac + 0.5 * (
-                np.einsum("...abc,...c->...ab", self.hess_X[i](x), X[i])
+                np.einsum("...abc,...c->...ab", H[i - 1], X[i])
                 + np.einsum("...ac,...cb->...ab", J[i], J[i])
             )
-        return np.stack(X[1:], axis=-1), np.stack(J[1:], axis=-1), drift, drift_jac
+        return np.stack(X[1:], axis=-1), np.stack(J[1:], axis=-1), drift, drift_jac, H
 
 
 @dataclass
@@ -141,10 +162,11 @@ class Payoff:
 class MalliavinState:
     """Per-line trajectories over the s-index (arrays share leading batch axes).
 
-    The arrays are batch-first views over step-major storage (the s-index
-    outermost in memory), so with a batch axis they are not contiguous.  L is
-    computed on its first read, from inputs that `compute_malliavin_line`
-    leaves here, and kept.
+    From `compute_malliavin_line`, the arrays are batch-first views over
+    step-major storage (the s-index outermost in memory), so with a batch
+    axis they are not contiguous, and L is computed on its first read, from
+    inputs left here, and kept.  From `fold_line`, they hold the last node
+    only (n+1 read as 1), and an array the pass did not form is None.
     """
 
     x: np.ndarray       # (..., n+1, d)
@@ -172,9 +194,9 @@ class MalliavinState:
 
 def _driver_increments(vf: VectorFieldSet, z_line, ds):
     """(dz, ds): the driver's increments, step-major (n, ..., m) and
-    contiguous, from one strided subtraction.  z_line is a path with
-    `values` and `step`, or a bare (..., n+1, m) array, which needs ds."""
-    if hasattr(z_line, "values"):
+    contiguous, from one strided subtraction.  z_line is a `LineProcess`,
+    or a bare (..., n+1, m) array, which needs ds."""
+    if isinstance(z_line, LineProcess):
         z, step = np.asarray(z_line.values, dtype=np.float64), z_line.step
     else:
         z, step = np.asarray(z_line, dtype=np.float64), None
@@ -211,47 +233,58 @@ def _matvec(a, v):
     return _matmul(a, v[..., None])[..., 0]
 
 
-def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
-    """Euler sweep of the state, derivative flow and its inverse along one line.
-
-    z_line: driving path values (..., n+1, m) (an OU row at fixed t, or the
-    boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
-    batch-first views of step-major arrays.
-    """
-    dz, ds = _driver_increments(vf, z_line, ds)
-    n = len(dz)
+def _initial_state(vf: VectorFieldSet, x0):
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 0:
         x0 = x0[None]
-    d = vf.d
-    if x0.shape[-1] != d:
-        raise ShapeError(f"x0 has {x0.shape[-1]} components, model has d={d}")
+    if x0.shape[-1] != vf.d:
+        raise ShapeError(f"x0 has {x0.shape[-1]} components, model has d={vf.d}")
+    return x0
+
+
+def _state_nodes(vf: VectorFieldSet, dz, x0, ds, flow):
+    """Walk the Euler line from x0: yield (x, U, U_inv, terms) at each node
+    k = 0..n, one slab of every path, with terms = `euler_terms` at x (None
+    at the last node, where no step follows).  U and U_inv are None unless
+    `flow`.  The yielded arrays are fresh at every node, never written again.
+
+    After the last node, a non-finite x raises NumericsError naming the
+    lowest bad path (a tuple of batch indices), then its first bad node.
+    """
+    n, d = len(dz), vf.d
     batch = np.broadcast_shapes(dz.shape[1:-1], x0.shape[:-1])
-    x = np.zeros((n + 1,) + batch + (d,))
-    U = np.zeros((n + 1,) + batch + (d, d))
-    U_inv = np.zeros((n + 1,) + batch + (d, d))
+    x = np.empty(batch + (d,))
+    x[...] = x0
     eye = np.eye(d)
-    x[0] = x0
-    U[0] = eye
-    U_inv[0] = eye
-    for k in range(n):
-        xk = x[k]
-        diff, diff_jac, drift, drift_jac = vf.euler_terms(xk)
-        x[k + 1] = xk + np.einsum("...am,...m->...a", diff, dz[k]) + drift * ds
-        M = np.einsum("...abm,...m->...ab", diff_jac, dz[k])
-        A = M + drift_jac * ds
-        U[k + 1] = U[k] + _matmul(A, U[k])
-        U_inv[k + 1] = _matmul(U_inv[k], eye - A + _matmul(A, A))
-    x = np.moveaxis(x, 0, -2)
-    if not np.all(np.isfinite(x[..., n, :])):
-        # lowest path first, then its first bad node
-        bad = np.argwhere(~np.isfinite(x))
+    U = U_inv = None
+    if flow:
+        U = np.empty(batch + (d, d))
+        U[...] = eye
+        U_inv = U.copy()
+    first_bad = None  # per path, its first node with a non-finite x
+    for k in range(n + 1):
+        if not np.all(np.isfinite(x)):
+            if first_bad is None:
+                first_bad = np.full(batch, n + 1)
+            bad = ~np.all(np.isfinite(x), axis=-1) & (first_bad > n)
+            first_bad[bad] = k
+        terms = vf.euler_terms(x, flow) if k < n else None
+        yield x, U, U_inv, terms
+        if terms is None:
+            break
+        diff, diff_jac, drift, drift_jac, _ = terms
+        x_next = x + np.einsum("...am,...m->...a", diff, dz[k]) + drift * ds
+        if flow:
+            A = np.einsum("...abm,...m->...ab", diff_jac, dz[k]) + drift_jac * ds
+            U, U_inv = U + _matmul(A, U), _matmul(U_inv, eye - A + _matmul(A, A))
+        x = x_next
+    if first_bad is not None:
+        p = int(np.flatnonzero(first_bad <= n)[0])
         raise NumericsError(
             "non-finite state along the line",
-            cell=(int(bad[0][-2]),),
-            path=tuple(int(v) for v in bad[0][:-2]),
+            cell=(int(first_bad.flat[p]),),
+            path=tuple(int(i) for i in np.unravel_index(p, batch)),
         )
-    return x, np.moveaxis(U, 0, -3), np.moveaxis(U_inv, 0, -3)
 
 
 def _uinv_hess(uinv, h):
@@ -267,6 +300,161 @@ def _gamma_dot(h, gamma):
     return _matmul(flat, h.reshape(h.shape[:-2] + (d * d, 1)))[..., 0, 0]
 
 
+class _LineIntegrals:
+    """The step kernel: C, R and, with `l_sums`, L's three running sums of
+    one line, advanced one node (one slab of every path) per `visit`.
+
+    After visiting node k it holds C_k (`C`), R_k = -P_k (`P` is the running
+    dz integral), with `l_sums` Gamma_k (`Gamma`) and the hess(X_i) o dz,
+    hess(X0) dr and bracket integrals up to node k (`sums`).  Each of these
+    adds one slab per step, the first one copied, as `lattice.cumsum0` does.
+    Step k's left-endpoint terms are formed at node k and its midpoint terms
+    at node k + 1.
+    """
+
+    def __init__(self, dz, ds, l_sums=False):
+        self.dz, self.ds, self.l_sums = dz, ds, l_sums
+        self.k = -1
+
+    def gamma(self, U):
+        """Gamma_k = U_k C_k U_k^T at the node last visited, with U = U_k."""
+        return np.einsum("...ab,...bc,...dc->...ad", U, self.C, U)
+
+    def visit(self, U, U_inv, diff, grad=None, hess=None, hess0=None):
+        """Advance to the next node k, given U_k, U_k^{-1} and the callbacks
+        at x_k: X_1..X_m stacked as diff (..., d, m) and, for L's sums, grad
+        X_1..X_m stacked as grad (..., d, d, m), hess X_1..X_m as a list and
+        hess X_0; grad and hess0 are not read at the last node."""
+        self.k += 1
+        k, dz, ds = self.k, self.dz, self.ds
+        g = np.einsum("...ab,...bm->...am", U_inv, diff)
+        uinv_h = [_uinv_hess(U_inv, h) for h in hess] if self.l_sums else None
+        if k == 0:
+            d = g.shape[-2]
+            self.C = np.zeros(g.shape[:-2] + (d, d))
+            self.P = np.zeros(np.broadcast_shapes(g.shape[:-2], dz.shape[1:-1]) + (d,))
+            zero = np.zeros(U.shape[:-1])
+            self.sums = (zero, zero, zero)
+        else:
+            # step k - 1: R's midpoint weight needs g at node k
+            t = np.einsum("...am,...m->...a", 0.5 * (self.g + g), dz[k - 1])
+            self.P = t if k == 1 else self.P + t
+            self.C = self.c if k == 1 else self.C + self.c
+            if self.l_sums:
+                # hess(X_i):Gamma o dz, Gamma frozen at the left endpoint
+                mid = np.stack([0.5 * (left + _gamma_dot(right, self.Gamma))
+                                for left, right in zip(self.left, uinv_h)], axis=-1)
+                terms = (_matvec(mid, dz[k - 1]),) + self.dr_terms
+                self.sums = terms if k == 1 else tuple(s + t for s, t in zip(self.sums, terms))
+        if self.l_sums:
+            self.Gamma = self.gamma(U)
+        if k == len(dz):
+            return
+        # step k's left-endpoint terms
+        self.g = g
+        self.c = np.einsum("...am,...bm->...ab", g, g) * ds
+        if self.l_sums:
+            self.left = [_gamma_dot(h, self.Gamma) for h in uinv_h]
+            jx = _matvec(grad[..., 0], diff[..., 0])
+            for i in range(1, diff.shape[-1]):
+                jx = jx + _matvec(grad[..., i], diff[..., i])
+            self.dr_terms = (_gamma_dot(_uinv_hess(U_inv, hess0), self.Gamma) * ds,
+                             _matvec(U_inv, jx) * ds)
+
+    def R(self):
+        return -self.P
+
+    def L(self, U, fault=None):
+        """L_k at the node last visited, with U = U_k; fault="flip-r-sign"
+        negates R inside it."""
+        r = self.P if fault == "flip-r-sign" else self.R()
+        return _matvec(U, r + self.sums[0] + self.sums[1] + self.sums[2])
+
+
+def _check_fault(fault):
+    if fault not in (None, "flip-r-sign"):
+        raise ModelError(f"unknown fault {fault!r}")
+
+
+_READS = ("x", "U", "U_inv", "C", "Gamma", "R", "L")
+
+
+def fold_line(vf: VectorFieldSet, z_line, x0, ds: float = None, reads=("x",),
+              fault: Optional[str] = None) -> MalliavinState:
+    """The objects named in `reads` at the last node of one line, from one
+    forward pass that keeps one slab of each running quantity.
+
+    reads: any of "x", "U", "U_inv", "C", "Gamma", "R", "L".  A line read
+    for x alone takes the state-only step (no U, U^{-1} or hess X call);
+    L's sums, and hess X_0, run only when L is read.  Returns a one-node
+    `MalliavinState` (node axis of length 1) whose arrays are bit for bit
+    the last node of `solve_state_line` and `compute_malliavin_line`'s; an
+    array the pass did not form is None.  fault is as for
+    `compute_malliavin_line`.
+    """
+    reads = set(reads)
+    if not reads <= set(_READS):
+        raise ModelError(f"unknown line objects {sorted(reads - set(_READS))}")
+    _check_fault(fault)
+    dz, ds = _driver_increments(vf, z_line, ds)
+    x0 = _initial_state(vf, x0)
+    m = vf.m
+    flow = bool(reads - {"x"})
+    l_sums = "L" in reads
+    run = _LineIntegrals(dz, ds, l_sums) if reads & {"C", "Gamma", "R", "L"} else None
+    for x, U, U_inv, terms in _state_nodes(vf, dz, x0, ds, flow):
+        if run is None:
+            continue
+        if terms is None:
+            # the last node: only the midpoint weights need callbacks there
+            diff = np.stack([vf.X[i](x) for i in range(1, m + 1)], axis=-1)
+            hess = [vf.hess_X[i](x) for i in range(1, m + 1)] if l_sums else None
+            run.visit(U, U_inv, diff, hess=hess)
+        else:
+            diff, diff_jac, _, _, hess = terms
+            run.visit(U, U_inv, diff, diff_jac, hess, vf.hess_X[0](x) if l_sums else None)
+    C = Gamma = R = None
+    if run is not None:
+        C, R = run.C, run.R()
+        if l_sums:
+            Gamma = run.Gamma
+        elif "Gamma" in reads:
+            Gamma = run.gamma(U)
+
+    def node(a, axes):
+        return None if a is None else np.expand_dims(a, -axes - 1)
+
+    state = MalliavinState(x=node(x, 1), U=node(U, 2), U_inv=node(U_inv, 2), C=node(C, 2),
+                           Gamma=node(Gamma, 2), R=node(R, 1), ds=ds)
+    if l_sums:
+        state._L = node(run.L(U, fault), 1)
+    return state
+
+
+def _record(lines, k, n, **slabs):
+    """Write node k's slabs into step-major (n+1, ...) lines, made at k = 0."""
+    for name, slab in slabs.items():
+        if k == 0:
+            lines[name] = np.empty((n + 1,) + slab.shape)
+        lines[name][k] = slab
+
+
+def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
+    """Euler sweep of the state, derivative flow and its inverse along one line.
+
+    z_line: driving path values (..., n+1, m) (an OU row at fixed t, or the
+    boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
+    batch-first views of step-major arrays.
+    """
+    dz, ds = _driver_increments(vf, z_line, ds)
+    x0 = _initial_state(vf, x0)
+    n, lines = len(dz), {}
+    for k, (x, U, U_inv, _) in enumerate(_state_nodes(vf, dz, x0, ds, flow=True)):
+        _record(lines, k, n, x=x, U=U, U_inv=U_inv)
+    return (np.moveaxis(lines["x"], 0, -2), np.moveaxis(lines["U"], 0, -3),
+            np.moveaxis(lines["U_inv"], 0, -3))
+
+
 def compute_malliavin_line(
     vf: VectorFieldSet, x, U, U_inv, z_line, ds: float = None, fault: Optional[str] = None
 ) -> MalliavinState:
@@ -276,57 +464,36 @@ def compute_malliavin_line(
     fault="flip-r-sign" negates the R term inside L only; it exists so the
     verification suite can demonstrate that a wrong formula is detected.
     """
-    if fault not in (None, "flip-r-sign"):
-        raise ModelError(f"unknown fault {fault!r}")
+    _check_fault(fault)
     dz, ds = _driver_increments(vf, z_line, ds)
     # step-major views: free on solve_state_line's output
     xs = np.moveaxis(x, -2, 0)
     Us = np.moveaxis(U, -3, 0)
     Uis = np.moveaxis(U_inv, -3, 0)
-    # a driver with fewer batch axes than the state lines up behind the s-index
-    dz = dz.reshape(dz.shape[:1] + (1,) * (xs.ndim - dz.ndim) + dz.shape[1:])
-    X = [vf.X[i](xs) for i in range(1, vf.m + 1)]
-    # g[k, ..., :, i] = U_k^{-1} X_{i+1}(x_k)
-    g = np.einsum("...ab,...bm->...am", Uis, np.stack(X, axis=-1))
-    g_l = g[:-1]
-    C = cumsum0(np.einsum("...am,...bm->...ab", g_l, g_l) * ds, axis=0)
-    Gamma = np.einsum("...ab,...bc,...dc->...ad", Us, C, Us)
-    g_mid = 0.5 * (g_l + g[1:])
-    R = -cumsum0(np.einsum("...am,...m->...a", g_mid, dz), axis=0)
+    m, n = vf.m, len(dz)
+    X = np.stack([vf.X[i](xs) for i in range(1, m + 1)], axis=-1)
+    run, lines = _LineIntegrals(dz, ds), {}
+    for k in range(n + 1):
+        run.visit(Us[k], Uis[k], X[k])
+        _record(lines, k, n, C=run.C, Gamma=run.gamma(Us[k]), R=run.R())
 
     def make_L():
-        # hess(X_i):Gamma with Gamma frozen at the left endpoint; midpoint
-        # weights on the dz contraction, left endpoint on the dr terms.  Each
-        # callback runs once over the line; everything else is one step slab
-        # (*batch, ...) at a time, the integrals added in np.cumsum's order.
+        # each callback runs once over the line; the kernel, again from
+        # node 0 with L's sums on, one step slab at a time
         hess = [f(xs) for f in vf.hess_X]
-        grad = [vf.grad_X[i](xs) for i in range(1, vf.m + 1)]
-        r_in_l = -R if fault == "flip-r-sign" else R
-        L = np.empty(xs.shape)
-        # the hess(X_i) o dz, hess(X0) dr and bracket integrals at node k
-        zero = np.zeros(xs.shape[1:])
-        sums = (zero, zero, zero)
-        uinv_h = [_uinv_hess(Uis[0], h[0]) for h in hess[1:]]
-        for k in range(len(xs)):
-            L[k] = _matvec(Us[k], r_in_l[k] + sums[0] + sums[1] + sums[2])
-            if k == len(dz):
-                break
-            uinv_h_next = [_uinv_hess(Uis[k + 1], h[k + 1]) for h in hess[1:]]
-            mid = np.stack([0.5 * (_gamma_dot(left, Gamma[k]) + _gamma_dot(right, Gamma[k]))
-                            for left, right in zip(uinv_h, uinv_h_next)], axis=-1)
-            jx = _matvec(grad[0][k], X[0][k])
-            for i in range(1, vf.m):
-                jx = jx + _matvec(grad[i][k], X[i][k])
-            terms = (_matvec(mid, dz[k]),
-                     _gamma_dot(_uinv_hess(Uis[k], hess[0][k]), Gamma[k]) * ds,
-                     _matvec(Uis[k], jx) * ds)
-            sums = terms if k == 0 else tuple(s + t for s, t in zip(sums, terms))
-            uinv_h = uinv_h_next
+        grad = [vf.grad_X[i](xs) for i in range(1, m + 1)]
+        run, L = _LineIntegrals(dz, ds, l_sums=True), np.empty(xs.shape)
+        for k in range(n + 1):
+            step = k < n
+            run.visit(Us[k], Uis[k], X[k],
+                      np.stack([g[k] for g in grad], axis=-1) if step else None,
+                      [h[k] for h in hess[1:]], hess[0][k] if step else None)
+            L[k] = run.L(Us[k], fault)
         return np.moveaxis(L, 0, -2)
 
     state = MalliavinState(
-        x=x, U=U, U_inv=U_inv, C=np.moveaxis(C, 0, -3),
-        Gamma=np.moveaxis(Gamma, 0, -3), R=np.moveaxis(R, 0, -2), ds=ds,
+        x=x, U=U, U_inv=U_inv, C=np.moveaxis(lines["C"], 0, -3),
+        Gamma=np.moveaxis(lines["Gamma"], 0, -3), R=np.moveaxis(lines["R"], 0, -2), ds=ds,
     )
     state._make_L = make_L
     return state

@@ -16,13 +16,12 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .lattice import cumsum0
+from .lattice import LineProcess, cumsum0
 from .sheet import SheetField
 
 #: Moment bound constants: E|int a dw|^alpha <= C(alpha) E|int a^2|^(alpha/2).
@@ -37,25 +36,6 @@ class IntegralKind(Enum):
     ZETA4 = 4
     ZETA5 = 5
     ZETA6 = 6
-
-
-@dataclass
-class LineProcess:
-    """One-parameter restriction of a field: values[..., k, c] on n+1 nodes."""
-
-    values: np.ndarray
-    step: float
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-2]
-
-    @classmethod
-    def from_values(cls, values, step):
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[:, None]
-        return cls(v, step)
 
 
 def t_line(field: SheetField, j: int) -> LineProcess:

@@ -4,7 +4,9 @@ Every check is a paired estimator: both sides of an identity are computed
 path by path on identical driving noise (common random numbers via the
 counter-addressed generator), and the report's z-score uses the variance of
 the per-path differences.  Paths are processed in fixed-size blocks
-(`_map_blocks`).  Each block returns one vector of raw sums over its paths
+(`_map_blocks`).  A block folds each of its lines in one forward pass
+(`malliavin.fold_line`) and keeps only the last node, the one every runner
+reads, and only the objects it reads there.  Each block returns one vector of raw sums over its paths
 (`_block_sums`), and the runner adds the vectors in block order
 (`_add_blocks`), so a report is bit-identical for any worker count; each
 runner keeps its own sums and its own standard-error formula.  A non-finite
@@ -46,7 +48,7 @@ from .lattice import (
     sample_boundary_bm,
     sample_cell_increments_batch,
 )
-from .malliavin import apply_L, compute_malliavin_line, solve_state_line
+from .malliavin import apply_L, fold_line
 from .models import Model
 from .sheet import build_sheet, sample_ou_exact_batch, solve_ou_hyperbolic
 
@@ -128,8 +130,13 @@ def _check_finite(*samples):
 
 
 def _block_sums(*terms):
-    """A block's raw-sum vector: each term summed over paths (axis 0)."""
-    return np.hstack([np.sum(t, axis=0) for t in terms])
+    """A block's raw-sum vector: each term, then each term's square, summed
+    over paths (axis 0).  The squares and sums of finite samples can
+    overflow; `_add_blocks` checks the total and names the block, so numpy
+    does not warn of it here, as the sweep does not for its own checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hstack([np.sum(t, axis=0) for t in terms]
+                         + [np.sum(t * t, axis=0) for t in terms])
 
 
 def _add_blocks(parts, chunk):
@@ -137,7 +144,8 @@ def _add_blocks(parts, chunk):
     overflow raises NumericsError at the first path of the block causing it."""
     total = 0
     for b, part in enumerate(parts):
-        total = total + part
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = total + part
         if not np.all(np.isfinite(total)):
             raise NumericsError("non-finite sum over path blocks", path=(b * chunk,))
     return total
@@ -185,21 +193,20 @@ def _map_blocks(block_fn, n_paths, chunk, workers):
 
 def _run_paired(sample_fn, n_paths, chunk, workers):
     """Evaluate sample_fn(start, count) -> (lhs, rhs) over fixed blocks; the
-    raw sums (lhs, rhs, their squares and the squared difference), added in
+    raw sums of lhs, rhs and their difference and of their squares, added in
     block order."""
 
     def block(start, count):
         l, r = sample_fn(start, count)
         _check_finite(l, r)
-        d = l - r
-        return _block_sums(l, r, l * l, r * r, d * d)
+        return _block_sums(l, r, l - r)
 
     return _add_blocks(_map_blocks(block, n_paths, chunk, workers), chunk)
 
 
 def _report(sums, n_paths, workers, extras=None) -> MCReport:
     n = n_paths
-    sl, sr, sll, srr, sdd = sums
+    sl, sr, _, sll, srr, sdd = sums
     ml = sl / n
     mr = sr / n
     var_l = max(0.0, (sll - n * ml * ml) / (n - 1))
@@ -267,18 +274,16 @@ def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: in
     lhs sample: grad f(x_end) Gamma_end grad g(x_end); rhs: -f(x_end) LG(x_end).
     """
     vf, x0, m = model.vf, model.x0, model.vf.m
-    k = grid.n_s
 
     def sample(start, count):
         spec = NoiseSpec(seed, start, m)
-        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count).values
-        x, U, Uinv = solve_state_line(vf, z, x0, grid.ds)
-        state = compute_malliavin_line(vf, x, U, Uinv, z, grid.ds, fault=fault)
-        xk = x[:, k, :]
+        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count)
+        end = fold_line(vf, z, x0, reads=("Gamma", "L"), fault=fault)
+        xk = end.x[:, 0, :]
         gf = payoff_f.grad_f(xk)
         gg = payoff_g.grad_f(xk)
-        lhs = np.einsum("pa,pab,pb->p", gf, state.Gamma[:, k, :, :], gg)
-        rhs = -payoff_f.f(xk) * apply_L(payoff_g, state, k)
+        lhs = np.einsum("pa,pab,pb->p", gf, end.Gamma[:, 0, :, :], gg)
+        rhs = -payoff_f.f(xk) * apply_L(payoff_g, end, 0)
         return lhs, rhs
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
@@ -289,17 +294,15 @@ def run_bismut(model: Model, payoff_f, grid: Grid, n_paths: int, seed: int,
                workers: int = 1, component: int = 0) -> MCReport:
     """Check E[grad f(x) U C]_j = -E[f(x) R_j] on the t=0 line (component j)."""
     vf, x0, m = model.vf, model.x0, model.vf.m
-    k = grid.n_s
 
     def sample(start, count):
         spec = NoiseSpec(seed, start, m)
-        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count).values
-        x, U, Uinv = solve_state_line(vf, z, x0, grid.ds)
-        state = compute_malliavin_line(vf, x, U, Uinv, z, grid.ds)
-        xk = x[:, k, :]
+        z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count)
+        end = fold_line(vf, z, x0, reads=("U", "C", "R"))
+        xk = end.x[:, 0, :]
         gf = payoff_f.grad_f(xk)
-        lhs_vec = np.einsum("pa,pab,pbc->pc", gf, state.U[:, k], state.C[:, k])
-        rhs_vec = -payoff_f.f(xk)[:, None] * state.R[:, k, :]
+        lhs_vec = np.einsum("pa,pab,pbc->pc", gf, end.U[:, 0], end.C[:, 0])
+        rhs_vec = -payoff_f.f(xk)[:, None] * end.R[:, 0, :]
         return lhs_vec[:, component], rhs_vec[:, component]
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
@@ -311,16 +314,15 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
     """Check E[(F'-F)(G'-G)] = -2 E[F (G'-G)] across a t-gap of the OU field."""
     vf, x0, m = model.vf, model.x0, model.vf.m
     j_gap = grid.t_index(t_gap)
-    k = grid.n_s
 
     def sample(start, count):
         z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
-        x0_line, _, _ = solve_state_line(vf, z_field.t_line(0), x0, grid.ds)
-        xg_line, _, _ = solve_state_line(vf, z_field.t_line(j_gap), x0, grid.ds)
-        F = payoff_f.f(x0_line[:, k, :])
-        G = payoff_g.f(x0_line[:, k, :])
-        Fp = payoff_f.f(xg_line[:, k, :])
-        Gp = payoff_g.f(xg_line[:, k, :])
+        xk = fold_line(vf, z_field.t_line(0), x0, grid.ds).x[:, 0, :]
+        xg = fold_line(vf, z_field.t_line(j_gap), x0, grid.ds).x[:, 0, :]
+        F = payoff_f.f(xk)
+        G = payoff_g.f(xk)
+        Fp = payoff_f.f(xg)
+        Gp = payoff_g.f(xg)
         lhs = (Fp - F) * (Gp - G)
         rhs = -2.0 * F * (Gp - G)
         return lhs, rhs
@@ -351,24 +353,21 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
         raise ConfigurationError("need at least two t-gaps to extrapolate")
     j_gaps = [grid.t_index(t) for t in gaps]
     wts = intercept_weights(gaps)
-    k = grid.n_s
 
     def sample(start, count):
         z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
-        z0 = z_field.t_line(0)
-        x_line, U, Uinv = solve_state_line(vf, z0, x0, grid.ds)
-        state = compute_malliavin_line(vf, x_line, U, Uinv, z0, grid.ds)
-        xk = x_line[:, k, :]
+        end = fold_line(vf, z_field.t_line(0), x0, grid.ds, reads=("Gamma",))
+        xk = end.x[:, 0, :]
         F = payoff_f.f(xk)
         G = payoff_g.f(xk)
         carre = np.einsum(
-            "pa,pab,pb->p", payoff_f.grad_f(xk), state.Gamma[:, k, :, :], payoff_g.grad_f(xk)
+            "pa,pab,pb->p", payoff_f.grad_f(xk), end.Gamma[:, 0, :, :], payoff_g.grad_f(xk)
         )
         extrap = np.zeros(count)
         for wgt, gap, j in zip(wts, gaps, j_gaps):
-            xg, _, _ = solve_state_line(vf, z_field.t_line(j), x0, grid.ds)
-            Fp = payoff_f.f(xg[:, k, :])
-            Gp = payoff_g.f(xg[:, k, :])
+            xg = fold_line(vf, z_field.t_line(j), x0, grid.ds).x[:, 0, :]
+            Fp = payoff_f.f(xg)
+            Gp = payoff_g.f(xg)
             extrap = extrap + wgt * ((Fp - F) * (Gp - G) / gap)
         return extrap, carre
 
@@ -409,15 +408,17 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
             return [levels[:, 0]] + [levels[:, j] for j in j_lags]
         if target in ("x", "u"):
             z_field = _ou_field(grid, NoiseSpec(seed, start, model.vf.m), count)
-            out = []
+            reads, out = ("x",) if target == "x" else ("U",), []
             for j in [0] + j_lags:
-                x, U, _ = solve_state_line(model.vf, z_field.t_line(j), model.x0, grid.ds)
+                end = fold_line(model.vf, z_field.t_line(j), model.x0, grid.ds, reads=reads)
                 if target == "x":
-                    out.append(np.linalg.norm(x[:, k, :], axis=-1) if model.vf.d > 1 else x[:, k, 0])
+                    x = end.x[:, 0, :]
+                    out.append(np.linalg.norm(x, axis=-1) if model.vf.d > 1 else x[:, 0])
                 else:
+                    U = end.U[:, 0]
                     out.append(
-                        np.linalg.norm(U[:, k].reshape(count, -1), axis=-1)
-                        if model.vf.d > 1 else U[:, k, 0, 0]
+                        np.linalg.norm(U.reshape(count, -1), axis=-1)
+                        if model.vf.d > 1 else U[:, 0, 0]
                     )
             return out
         # target == "p": general hyperbolic sweep with zero boundary data
@@ -430,7 +431,7 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
         vals = level_values(start, count)
         samples = np.stack([np.abs(v - vals[0]) ** alpha for v in vals[1:]], axis=-1)
         _check_finite(*samples.T)
-        return _block_sums(samples, samples * samples)
+        return _block_sums(samples)
 
     sums = _add_blocks(_map_blocks(block, n_paths, chunk, workers), chunk)
     n = n_paths

@@ -188,9 +188,10 @@ class TestStateLine:
 
 
 class TestPartialSums:
-    """`lattice.cumsum0`, the one partial-sum function (C and R here, the
-    boundary lines and the Ito integrals elsewhere), against a zero slab
-    concatenated with `np.cumsum`, bit for bit."""
+    """`lattice.cumsum0`, the one partial-sum function (the boundary lines
+    and the Ito integrals; the Malliavin kernel adds C and R one slab per
+    step in its order), against a zero slab concatenated with `np.cumsum`,
+    bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -208,7 +209,7 @@ class TestPartialSums:
     def test_equals_cumsum0_bitwise(self, n, batch, paths, trailing, leading, seed):
         rng = np.random.default_rng(seed)
         if leading:
-            # step-major, as the Malliavin line stores C and R
+            # a leading step axis, as an unbatched line has
             shape, step_axis = (n, paths) + tuple(batch) + trailing, 0
         else:
             # a step axis inside batch axes, as the boundary and Ito lines

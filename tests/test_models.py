@@ -8,7 +8,9 @@ zero coefficients, powers >= 3, constants), of f, grad f and hess f for the
 payoff presets, and of every `MalliavinState` array of a d = 2, m = 2 line
 in five line shapes (one batch axis, none, two, a batch that comes from x0
 alone, a batched driver with x0 of shape (1, d)) and of a d = 3, m = 1 line.
-A pin changes only on purpose; regenerate the file with
+`fold_line`, which keeps only a line's last node, must give that node of
+every one of these lines bit for bit.  A pin changes only on purpose;
+regenerate the file with
 
     PYTHONPATH=src python tests/test_models.py --update
 
@@ -24,7 +26,8 @@ import numpy as np
 import pytest
 
 from sheetcalc.lattice import NoiseSpec, sample_boundary_bm
-from sheetcalc.malliavin import compute_malliavin_line, solve_state_line
+from sheetcalc.errors import ModelError
+from sheetcalc.malliavin import compute_malliavin_line, fold_line, solve_state_line
 from sheetcalc.models import (
     constant_payoff,
     coordinate_payoff,
@@ -120,27 +123,27 @@ def _state_digests(vf, z, x0):
             for name in ("x", "U", "U_inv", "C", "Gamma", "R", "L")}
 
 
+# line shapes: one batch axis, none, two, a batch from x0 alone, a batched
+# driver with a broadcast x0, and a d = 3, m = 1 table model
+LINE_CASES = {
+    "malliavin-d2m2": lambda: (_acceptance_model(), _line(2, batch=16), [0.5, -0.5]),
+    "malliavin-unbatched": lambda: (_acceptance_model(), _line(2), [0.5, -0.5]),
+    "malliavin-batch-3x5": lambda: (
+        _acceptance_model(), _line(2, batch=15).reshape(3, 5, 33, 2), [0.5, -0.5]),
+    "malliavin-batch-from-x0": lambda: (
+        _acceptance_model(), _line(2), [[0.5, -0.5], [0.0, 0.0], [-1.0, 0.25], [2.0, 1.5]]),
+    "malliavin-x0-1xd": lambda: (_acceptance_model(), _line(2, batch=6), [[0.5, -0.5]]),
+    "malliavin-d3m1": lambda: (
+        polynomial_fields(3, 1, LINE_TABLES_D3), _line(1, batch=8), [0.2, -0.1, 0.3]),
+}
+
 PIN_CASES = {
     "fields-d2": lambda: _field_digests(2, TABLES_D2),
     "fields-d3": lambda: _field_digests(3, TABLES_D3),
     "payoff-coordinate": lambda: _payoff_digests(coordinate_payoff(j=1, d=2)),
     "payoff-square": lambda: _payoff_digests(square_payoff(j=1, d=2)),
     "payoff-constant": lambda: _payoff_digests(constant_payoff(c=-2.5, d=2)),
-    "malliavin-d2m2": lambda: _state_digests(
-        _acceptance_model(), _line(2, batch=16), [0.5, -0.5]),
-    # line shapes: no batch axis, two batch axes, a batch from x0 alone, a
-    # batched driver with a broadcast x0, and a d = 3, m = 1 table model
-    "malliavin-unbatched": lambda: _state_digests(
-        _acceptance_model(), _line(2), [0.5, -0.5]),
-    "malliavin-batch-3x5": lambda: _state_digests(
-        _acceptance_model(), _line(2, batch=15).reshape(3, 5, 33, 2), [0.5, -0.5]),
-    "malliavin-batch-from-x0": lambda: _state_digests(
-        _acceptance_model(), _line(2),
-        [[0.5, -0.5], [0.0, 0.0], [-1.0, 0.25], [2.0, 1.5]]),
-    "malliavin-x0-1xd": lambda: _state_digests(
-        _acceptance_model(), _line(2, batch=6), [[0.5, -0.5]]),
-    "malliavin-d3m1": lambda: _state_digests(
-        polynomial_fields(3, 1, LINE_TABLES_D3), _line(1, batch=8), [0.2, -0.1, 0.3]),
+    **{case: lambda case=case: _state_digests(*LINE_CASES[case]()) for case in LINE_CASES},
 }
 
 
@@ -192,6 +195,57 @@ class TestLazyL:
             assert np.array_equal(getattr(honest, name), getattr(flipped, name))
         assert not np.array_equal(honest.L, flipped.L)
 
+
+
+# (array name, number of trailing per-node axes)
+_OBJECTS = (("x", 1), ("U", 2), ("U_inv", 2), ("C", 2), ("Gamma", 2), ("R", 1), ("L", 1))
+
+
+class TestFoldLine:
+    """`fold_line` keeps a line's last node only, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(LINE_CASES))
+    @pytest.mark.parametrize("reads, fault", [
+        (("x",), None),
+        (("U",), None),
+        (("U", "C", "R"), None),
+        (("Gamma",), None),
+        (("Gamma", "L"), "flip-r-sign"),
+        (tuple(name for name, _ in _OBJECTS), None),
+    ], ids=["state", "flow", "bismut", "carre", "ibp-flipped", "all"])
+    def test_last_node_of_the_whole_lines(self, case, reads, fault):
+        vf, z, x0 = LINE_CASES[case]()
+        x0 = np.asarray(x0, dtype=np.float64)
+        n = z.shape[-2] - 1
+        x, U, Uinv = solve_state_line(vf, z, x0, 1.0 / n)
+        whole = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n, fault=fault)
+        end = fold_line(vf, z, x0, 1.0 / n, reads=reads, fault=fault)
+        for name, axes in _OBJECTS:
+            if name not in reads:
+                continue
+            last = getattr(whole, name)[(..., slice(n, None)) + (slice(None),) * axes]
+            got = getattr(end, name)
+            assert got.shape == last.shape and got.tobytes() == last.tobytes(), name
+        if "x" in reads and len(reads) == 1:
+            assert end.U is None and end.C is None
+
+    def test_state_only_line_calls_no_hessian(self):
+        calls = {}
+        vf, z, x0 = LINE_CASES["malliavin-d2m2"]()
+        for kind in ("X", "grad_X", "hess_X"):
+            cbs = getattr(vf, kind)
+            for i, cb in enumerate(cbs):
+                def wrapped(x, _cb=cb, _name=f"{kind}_{i}"):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _cb(x)
+                cbs[i] = wrapped
+        fold_line(vf, z, np.asarray(x0), 1.0 / 32)
+        assert calls == {f"{k}_{i}": 32 for k in ("X", "grad_X") for i in range(3)}
+
+    def test_unknown_object_rejected(self):
+        vf, z, x0 = LINE_CASES["malliavin-d2m2"]()
+        with pytest.raises(ModelError, match="unknown line objects"):
+            fold_line(vf, z, np.asarray(x0), 1.0 / 32, reads=("x", "Q"))
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:

@@ -1,21 +1,25 @@
 """The Monte Carlo harness: exact-zero cases, pairing, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sheetcalc import lattice
+from sheetcalc import lattice, verify
 from sheetcalc.errors import ConfigurationError, DegenerateDataError, NumericsError
-from sheetcalc.lattice import Grid, Stream
-from sheetcalc.malliavin import Payoff
+from sheetcalc.lattice import Grid, LineProcess, NoiseSpec, Stream, sample_boundary_bm
+from sheetcalc.malliavin import Payoff, solve_state_line
 from sheetcalc.models import (
     constant_payoff,
     coordinate_payoff,
     linear_1d,
+    model_from_config,
     square_payoff,
     zero_model,
 )
 from sheetcalc.hyperbolic import zero_coefficients
 from sheetcalc.verify import (
+    LINE_CHUNK,
     _run_paired,
     intercept_weights,
     run_bismut,
@@ -215,6 +219,7 @@ class TestNonFiniteSamples:
             _run_paired(sample, 4000, 1000, workers)
         assert info.value.path == (2500,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_square_names_its_block(self, workers):
         # path 2500's square overflows: the error names its block's first path
@@ -226,6 +231,7 @@ class TestNonFiniteSamples:
             _run_paired(sample, 4000, 1000, workers)
         assert info.value.path == (2000,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_across_blocks_names_the_block(self, workers):
         # each block's sum of squares is finite (9.8e307), two of them are not
@@ -252,3 +258,93 @@ class TestNonFiniteSamples:
             run_holder_scan("sheet", Grid(8, 4, 1.0 / 8, 1.0 / 16), 2.0,
                             [1.0 / 16, 1.0 / 8, 1.0 / 4], 16400, 8, workers=workers)
         assert info.value.path == (16390,)
+
+
+def _counted_d2_model(calls, shapes):
+    """Acceptance criterion 8's d = 2, m = 2 model, with every callback
+    counting its calls by name and recording the shapes it is given."""
+    model = model_from_config({"d": 2, "m": 2, "x0": [0.5, -0.5], "fields": [
+        [[], []],
+        [[[1.0, [0, 0]]], [[0.5, [1, 0]]]],
+        [[[0.25, [0, 1]]], [[1.0, [0, 0]]]],
+    ]})
+    for kind in ("X", "grad_X", "hess_X"):
+        cbs = getattr(model.vf, kind)
+        for i, cb in enumerate(cbs):
+            def wrapped(x, _cb=cb, _name=f"{kind}_{i}"):
+                calls[_name] = calls.get(_name, 0) + 1
+                shapes.add(np.shape(x))
+                return _cb(x)
+            cbs[i] = wrapped
+    return model
+
+
+class TestLineFold:
+    """Each runner folds its lines in one forward pass and keeps their last
+    node: callbacks see one slab of every path, never a whole line."""
+
+    def test_ibp_block_calls_each_callback_once_per_step(self):
+        n, count = 16, 64
+        calls, shapes = {}, set()
+        model = _counted_d2_model(calls, shapes)
+        run_ibp(model, coordinate_payoff(0, 2), square_payoff(1, 2),
+                Grid(n, 1, 1.0 / n, 1.0), count, 3)
+        # once at each step's x_k; X_i and hess X_i (i >= 1) once more at the
+        # last node, for the midpoint weights of the last step
+        expect = {f"{k}_{i}": n for k in ("X", "grad_X", "hess_X") for i in range(3)}
+        for name in ("X_1", "X_2", "hess_X_1", "hess_X_2"):
+            expect[name] += 1
+        assert calls == expect
+        assert shapes == {(count, 2)}
+
+    def test_reversibility_block_calls_no_hessian(self):
+        n, count = 8, 64
+        calls, shapes = {}, set()
+        model = _counted_d2_model(calls, shapes)
+        run_reversibility(model, coordinate_payoff(0, 2), coordinate_payoff(1, 2),
+                          Grid(n, 4, 1.0 / n, 1.0 / 8), 0.25, count, 5)
+        # two state-only lines, at t = 0 and at the gap, n steps each
+        assert calls == {f"{k}_{i}": 2 * n for k in ("X", "grad_X") for i in range(3)}
+        assert shapes == {(count, 2)}
+
+    @pytest.mark.parametrize("runner", ["ibp", "bismut"])
+    def test_block_peaks_at_four_line_arrays(self, runner):
+        n, count, f = 128, LINE_CHUNK, coordinate_payoff()
+        grid = Grid(n, 1, 1.0 / n, 1.0)
+        tracemalloc.start()
+        try:
+            if runner == "ibp":
+                run_ibp(linear_1d(), f, f, grid, count, 3)
+            else:
+                run_bismut(linear_1d(), f, grid, count, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one scalar line of the block, (paths, n + 1) float64: 16.1 MiB
+        assert peak <= 4 * count * (n + 1) * 8
+
+    @pytest.mark.parametrize("runner", ["ibp", "bismut"])
+    @pytest.mark.parametrize("poisoned, path, cell", [
+        # the lowest bad path is named, not the earliest step
+        ({3: 5, 1: 10}, (1,), (10,)),
+        # a driver bad at its last node only
+        ({5: 16, 2: 16}, (2,), (16,)),
+    ])
+    def test_poisoned_driver_names_the_state_lines_path_and_node(
+            self, runner, poisoned, path, cell, monkeypatch):
+        model, n = linear_1d(), 16
+        z = sample_boundary_bm(n, 1.0 / n, 1, NoiseSpec(15, 0, 1), batch=6).values
+        for p, step in poisoned.items():
+            z[p, step:] = np.nan
+        with pytest.raises(NumericsError) as line:
+            solve_state_line(model.vf, z, model.x0, 1.0 / n)
+        monkeypatch.setattr(verify, "sample_boundary_bm",
+                            lambda *args, **kwargs: LineProcess(z, 1.0 / n))
+        grid, f = Grid(n, 1, 1.0 / n, 1.0), coordinate_payoff()
+        with pytest.raises(NumericsError) as folded:
+            if runner == "ibp":
+                run_ibp(model, f, f, grid, 6, 1)
+            else:
+                run_bismut(model, f, grid, 6, 1)
+        assert (line.value.path, line.value.cell) == (path, cell)
+        assert (folded.value.path, folded.value.cell) == (path, cell)
