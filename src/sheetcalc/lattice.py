@@ -20,7 +20,10 @@ channels separate different boundary paths sharing a stream.
 Invariant: consecutive paths are consecutive counters.  The path index is
 word 0, the word that counts, so for fixed words 1-3 a block of paths
 start..start+n-1 is one run of n consecutive Philox counters, which
-`philox.normal_block` draws with a single call to numpy's generator.
+`philox.normal_block` draws with a single call to numpy's generator, one
+chunk of `normal_grid_chunk` paths at a time.  Per-path work cut into
+slices of that size (`path_slices`) draws the same deviates as the whole
+batch and holds one chunk of the draw at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigurationError
-from .philox import normal_block
+from .philox import chunk_paths, normal_block
 
 _KEY_SALT = np.uint64(0x243F6A8885A308D3)
 
@@ -203,6 +206,29 @@ def normal_grid(seed, path_indices, stream, n_i, n_j, m, channel=0):
     # (..., blocks, lane, j, c) -> (..., i, j, c): row i is lane i % 4 of block i // 4
     z = z.reshape(np.shape(path_indices) + (4 * n_blocks, n_j, m))
     return z if n_i == 4 * n_blocks else np.ascontiguousarray(z[..., :n_i, :, :])
+
+
+def normal_grid_chunk(n_i, n_j, m) -> int:
+    """Paths per Philox chunk of an (n_i, n_j, m) `normal_grid` draw, whose
+    paths take ceil(n_i / 4) * n_j * m counters each."""
+    return chunk_paths((n_i + 3) // 4 * n_j * m)
+
+
+def path_slices(fn, count, size):
+    """fn(offset, n) over consecutive slices of at most `size` of `count`
+    paths, its outputs stacked on axis 0 in path order.
+
+    Per-path work over a draw, cut at the draw's Philox chunks
+    (`normal_grid_chunk`), holds one chunk of the draw at a time and draws
+    the same deviates as the whole batch.
+    """
+    out = None
+    for offset in range(0, count, size):
+        part = fn(offset, min(size, count - offset))
+        if out is None:
+            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+        out[offset:offset + len(part)] = part
+    return out
 
 
 def sample_cell_increments(grid: Grid, noise: NoiseSpec) -> CellIncrements:

@@ -44,6 +44,13 @@ def _runs(flat):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def chunk_paths(lanes):
+    """Paths per chunk of `_CHUNK` counters when each path takes `lanes`
+    counters: the unit `normal_block` draws in, and the slice size of every
+    per-path computation over such a draw (at least one path)."""
+    return max(1, _CHUNK // lanes)
+
+
 def _philox_words(bitgen, flat, word1, lanes):
     """The 4 output words of counters (p, word1[c], b, j) for p in `flat`
     and (b, j, c) in `lanes`, shaped (4, flat.size, len(lanes))."""
@@ -92,7 +99,7 @@ def normal_block(paths, word1, n_word2, n_word3, key):
     out_rows = out.reshape((flat.size, n_word2, 4, n_word3 * len(word1)))
     # Paths go _CHUNK counters at a time, which bounds the raw words and the
     # Box-Muller temporaries held beside the output.
-    step = max(1, _CHUNK // len(lanes))
+    step = chunk_paths(len(lanes))
     for p0 in range(0, flat.size, step):
         words = _philox_words(bitgen, flat[p0:p0 + step], word1, lanes)
         words = words.reshape((4, -1, n_word2, n_word3 * len(word1)))

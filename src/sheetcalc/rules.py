@@ -6,6 +6,12 @@ lattice arithmetic is exact and the identity must hold bit for bit; the
 statistical rules state their tolerance as a multiple of the Monte Carlo
 standard error or as a fitted-order window.
 
+A statistical rule that reduces a field or a line to one value per path
+draws and reduces it one Philox chunk of paths at a time
+(`lattice.normal_grid_chunk`, `lattice.path_slices`) and takes its mean,
+standard deviation or RMS over the concatenated values, so its memory does
+not grow with n_paths and its bits do not depend on the slices.
+
 The rules are independent pure functions of (seed, n_paths), so `run_rules`
 runs them as the items of the package's one ordered pool map
 (`verify.pool_map`) and reports them in a fixed order: the report is the
@@ -16,13 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import CellIncrements, Grid, NoiseSpec, cumsum0, sample_boundary_bm, \
-    sample_cell_increments_batch
+from .lattice import CellIncrements, Grid, NoiseSpec, cumsum0, normal_grid_chunk, path_slices, \
+    sample_boundary_bm, sample_cell_increments_batch
 from .sheet import SheetField, build_sheet
 from .stochcalc import (
     IntegralKind,
     LineProcess,
-    bdg_moment_check,
+    bdg_martingale,
+    bdg_moments,
+    bdg_quadratic_variation,
     cell_terms,
     check_mixed_annihilation,
     field_component,
@@ -39,8 +47,36 @@ def _line(values, step):
     return LineProcess.from_values(values, step)
 
 
-def _brownian_lines(n, step, n_paths, seed):
-    return sample_boundary_bm(n, step, 1, NoiseSpec(seed, 0, 1), batch=n_paths).values
+def _brownian_lines(n, step, n_paths, seed, start=0):
+    return sample_boundary_bm(n, step, 1, NoiseSpec(seed, start, 1), batch=n_paths).values
+
+
+def _per_path(grid: Grid, m, n_paths, seed, fn):
+    """fn(cell increments) -> one value per path, over the cells of paths
+    0..n_paths-1 with m components, one Philox chunk of the draw at a time."""
+
+    def one(start, count):
+        incs = sample_cell_increments_batch(grid, NoiseSpec(seed, start, m), count)
+        return fn(CellIncrements(incs, grid))
+
+    return path_slices(one, n_paths, normal_grid_chunk(grid.n_s, grid.n_t, m))
+
+
+def _zeta6(c_x, c_y):
+    """Per path: sum over the cells of dd w^c_x * dd w^c_y of the sheet w."""
+
+    def per_path(incs):
+        w = build_sheet(incs)
+        return np.sum(cell_terms(IntegralKind.ZETA6, x=field_component(w, c_x),
+                                 y=field_component(w, c_y))[..., 0], axis=(-2, -1))
+
+    return per_path
+
+
+def _annihilation(incs):
+    """Per path: sum over the cells of d_s w^1 * dd w^0 of the sheet w."""
+    w = build_sheet(incs)
+    return check_mixed_annihilation(field_component(w, 1), w, component=0)
 
 
 def rule_telescoping_zeta1(seed) -> tuple:
@@ -97,10 +133,7 @@ def rule_order_exchange(seed) -> tuple:
 
 def rule_zeta6_diagonal(grid: Grid, n_paths, seed) -> tuple:
     """Sum of squared cell increments estimates the area, within 4 SE."""
-    incs = sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 1), n_paths)
-    w = build_sheet(CellIncrements(incs, grid))
-    z6 = np.sum(cell_terms(IntegralKind.ZETA6, x=field_component(w, 0),
-                           y=field_component(w, 0))[..., 0], axis=(-2, -1))
+    z6 = _per_path(grid, 1, n_paths, seed, _zeta6(0, 0))
     area = grid.s_extent * grid.t_extent
     dev = abs(float(np.mean(z6)) - area)
     tol = 4.0 * float(np.std(z6, ddof=1)) / np.sqrt(n_paths)
@@ -108,10 +141,7 @@ def rule_zeta6_diagonal(grid: Grid, n_paths, seed) -> tuple:
 
 
 def rule_zeta6_offdiagonal(grid: Grid, n_paths, seed) -> tuple:
-    incs = sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 2), n_paths)
-    w = build_sheet(CellIncrements(incs, grid))
-    z6 = np.sum(cell_terms(IntegralKind.ZETA6, x=field_component(w, 0),
-                           y=field_component(w, 1))[..., 0], axis=(-2, -1))
+    z6 = _per_path(grid, 2, n_paths, seed, _zeta6(0, 1))
     dev = abs(float(np.mean(z6)))
     tol = 4.0 * float(np.std(z6, ddof=1)) / np.sqrt(n_paths)
     return ("zeta6-offdiagonal-zero", dev, tol, dev <= tol)
@@ -119,10 +149,7 @@ def rule_zeta6_offdiagonal(grid: Grid, n_paths, seed) -> tuple:
 
 def _annihilation_rms(n, n_paths, seed) -> float:
     """RMS over paths of sum(dsx ddw) on the n x n grid of the unit square."""
-    grid = Grid(n, n, 1.0 / n, 1.0 / n)
-    incs = sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 2), n_paths)
-    w = build_sheet(CellIncrements(incs, grid))
-    vals = check_mixed_annihilation(field_component(w, 1), w, component=0)
+    vals = _per_path(Grid(n, n, 1.0 / n, 1.0 / n), 2, n_paths, seed, _annihilation)
     return float(np.sqrt(np.mean(vals**2)))
 
 
@@ -137,9 +164,7 @@ def rule_mixed_annihilation(rms_16, rms_32) -> tuple:
 
 
 def rule_mixed_annihilation_mean(grid: Grid, n_paths, seed) -> tuple:
-    incs = sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 2), n_paths)
-    w = build_sheet(CellIncrements(incs, grid))
-    vals = check_mixed_annihilation(field_component(w, 1), w, component=0)
+    vals = _per_path(grid, 2, n_paths, seed, _annihilation)
     dev = abs(float(np.mean(vals)))
     tol = 4.0 * float(np.std(vals, ddof=1)) / np.sqrt(n_paths)
     return ("mixed-annihilation-mean", dev, tol, dev <= tol)
@@ -150,11 +175,15 @@ def rule_stratonovich_chain_order(n_paths, seed) -> tuple:
     steps = (32, 64, 128, 256)
     rms = []
     for k, n in enumerate(steps):
-        x = _brownian_lines(n, 1.0 / n, n_paths, seed + k)
-        fx = x**3
-        fpx = 3.0 * x**2
-        strat = integral_zeta1(_line(fpx, 1.0 / n), _line(x, 1.0 / n), rule="stratonovich")
-        resid = (fx[:, -1, 0] - fx[:, 0, 0]) - strat.values[:, -1, 0]
+
+        def residuals(start, count, n=n, k=k):
+            x = _brownian_lines(n, 1.0 / n, count, seed + k, start)
+            fx = x**3
+            fpx = 3.0 * x**2
+            strat = integral_zeta1(_line(fpx, 1.0 / n), _line(x, 1.0 / n), rule="stratonovich")
+            return (fx[:, -1, 0] - fx[:, 0, 0]) - strat.values[:, -1, 0]
+
+        resid = path_slices(residuals, n_paths, normal_grid_chunk(n, 1, 1))
         rms.append(float(np.sqrt(np.mean(resid**2))))
     slope = np.polyfit(np.log([1.0 / n for n in steps]), np.log(rms), 1)[0]
     ok = 0.8 <= slope <= 1.2
@@ -180,9 +209,12 @@ def rule_vanishing_on_smooth(seed, n_paths=512) -> tuple:
             ).copy(),
             grid,
         )
-        incs = sample_cell_increments_batch(grid, NoiseSpec(seed + k, 0, 1), n_paths)
-        w = build_sheet(CellIncrements(incs, grid))
-        z5 = np.sum(cell_terms(IntegralKind.ZETA5, x=smooth, y=w)[..., 0], axis=(-2, -1))
+
+        def zeta5(incs, smooth=smooth):
+            return np.sum(cell_terms(IntegralKind.ZETA5, x=smooth, y=build_sheet(incs))[..., 0],
+                          axis=(-2, -1))
+
+        z5 = _per_path(grid, 1, n_paths, seed + k, zeta5)
         rms5[nn] = float(np.sqrt(np.mean(z5**2)))
     worst = max(worst, abs(np.log2(rms5[32] / rms5[64]) - 1.0))
     # zeta2: smooth line against Brownian lines
@@ -198,11 +230,9 @@ def rule_vanishing_on_smooth(seed, n_paths=512) -> tuple:
 
 def rule_bdg_isometry(grid: Grid, n_paths, seed) -> tuple:
     """alpha = 2: moment ratio is the isometry, <= 1 up to MC error."""
-    incs = CellIncrements(
-        sample_cell_increments_batch(grid, NoiseSpec(seed, 0, 1), n_paths), grid
-    )
     ones = SheetField(np.ones((grid.n_s + 1, grid.n_t + 1, 1)), grid)
-    lhs, rhs = bdg_moment_check(ones, incs, 2.0)
+    mart = _per_path(grid, 1, n_paths, seed, lambda incs: bdg_martingale(ones, incs))
+    lhs, rhs = bdg_moments(mart, bdg_quadratic_variation(ones), 2.0)
     ratio = lhs / rhs
     tol = 1.0 + 4.0 * np.sqrt(2.0 / n_paths)
     return ("bdg-isometry", float(ratio), float(tol), ratio <= tol)

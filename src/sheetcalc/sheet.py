@@ -36,10 +36,6 @@ class SheetField:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    def t_line(self, j: int) -> np.ndarray:
-        """Values along the fixed-t line t = j*dt, shape (..., n_s+1, dim)."""
-        return self.values[..., :, j, :]
-
 
 def build_sheet(incs: CellIncrements) -> SheetField:
     """Cumulative double sum of cell increments; zero on both axes.

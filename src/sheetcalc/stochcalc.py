@@ -175,20 +175,35 @@ def check_mixed_annihilation(x: SheetField, w: SheetField, component: int = 0) -
     return np.sum(dsx * ddw, axis=(-2, -1))
 
 
+def bdg_martingale(a: SheetField, incs, component: int = 0) -> np.ndarray:
+    """II a ddw per batch entry: a at each cell's lower-left corner times
+    the cell's double increment of component `component`, summed."""
+    a_ll = a.values[..., :-1, :-1, 0]
+    return np.sum(a_ll * incs.values[..., component], axis=(-2, -1))
+
+
+def bdg_quadratic_variation(a: SheetField) -> np.ndarray:
+    """II a^2 ds dt per batch entry of a (one value for a deterministic a)."""
+    a_ll = a.values[..., :-1, :-1, 0]
+    return np.sum(a_ll**2, axis=(-2, -1)) * (a.grid.ds * a.grid.dt)
+
+
+def bdg_moments(mart, qv, alpha: float):
+    """(E|mart|^alpha, E|qv|^(alpha/2)), each mean over all its entries."""
+    if alpha < 2:
+        raise ConfigurationError(f"alpha must be >= 2, got {alpha}")
+    lhs = float(np.mean(np.abs(mart) ** alpha))
+    rhs = float(np.mean(np.abs(qv) ** (alpha / 2.0)))
+    return lhs, rhs
+
+
 def bdg_moment_check(a: SheetField, incs, alpha: float, component: int = 0):
     """MC estimates (E|II a ddw|^alpha, E|II a^2 ds dt|^(alpha/2)).
 
     Expects batched operands (leading path axes); means run over them.
     The first should not exceed BDG_CONSTANTS[alpha] times the second when
-    the constant is tabulated.
+    the constant is tabulated.  The per-path sums are `bdg_martingale` and
+    `bdg_quadratic_variation`, so a caller may form them path slice by path
+    slice and pass them to `bdg_moments`.
     """
-    if alpha < 2:
-        raise ConfigurationError(f"alpha must be >= 2, got {alpha}")
-    grid = a.grid
-    a_ll = a.values[..., :-1, :-1, 0]
-    ddw = incs.values[..., component]
-    mart = np.sum(a_ll * ddw, axis=(-2, -1))
-    qv = np.sum(a_ll**2, axis=(-2, -1)) * (grid.ds * grid.dt)
-    lhs = float(np.mean(np.abs(mart) ** alpha))
-    rhs = float(np.mean(np.abs(qv) ** (alpha / 2.0)))
-    return lhs, rhs
+    return bdg_moments(bdg_martingale(a, incs, component), bdg_quadratic_variation(a), alpha)

@@ -6,7 +6,12 @@ counter-addressed generator), and the report's z-score uses the variance of
 the per-path differences.  Paths are processed in fixed-size blocks
 (`_map_blocks`).  A block folds each of its lines in one forward pass
 (`malliavin.fold_line`) and keeps only the last node, the one every runner
-reads, and only the objects it reads there.  Each block returns one vector of raw sums over its paths
+reads, and only the objects it reads there.  A block over OU-field lines
+builds its field one Philox chunk of paths at a time (`_ou_lines`:
+`lattice.normal_grid_chunk` paths of the cell draw, the unit
+`philox.normal_block` draws in) and keeps only the t-lines it reads; the
+folds and the sums still run once per block at block width.  Each block
+returns one vector of raw sums over its paths
 (`_block_sums`), and the runner adds the vectors in block order
 (`_add_blocks`), so a report is bit-identical for any worker count; each
 runner keeps its own sums and its own standard-error formula.  A non-finite
@@ -45,6 +50,8 @@ from .lattice import (
     Grid,
     NoiseSpec,
     cumsum0,
+    normal_grid_chunk,
+    path_slices,
     sample_boundary_bm,
     sample_cell_increments_batch,
 )
@@ -53,10 +60,11 @@ from .models import Model
 from .sheet import build_sheet, sample_ou_exact_batch, solve_ou_hyperbolic
 
 LINE_CHUNK = 16384   # paths per block for one-line runs
-FIELD_CHUNK = 4096   # paths per block when a full OU field is needed
+FIELD_CHUNK = 4096   # paths per block for runs over OU-field lines
 HYP_CHUNK = 2048     # paths per block for general hyperbolic sweeps
-# Paths per block for the whole-sheet samplers (`sample_sheet_nodes`,
-# `sample_ou_corner`).  Measured on the shipped sheet-covariance (8x8 grid,
+# Most paths per block for the whole-sheet samplers (`sample_sheet_nodes`,
+# `sample_ou_corner`), which also keep each block within one Philox chunk of
+# its widest draw.  Measured on the shipped sheet-covariance (8x8 grid,
 # 10000 paths) and ou-cross-validation (16x64 grid, 10000 paths) configs:
 # 512-path blocks are faster than one whole batch even at one worker.
 SHEET_CHUNK = 512
@@ -233,6 +241,22 @@ def _ou_field(grid: Grid, spec: NoiseSpec, count):
     return solve_ou_hyperbolic(grid, zb, incs)
 
 
+def _ou_lines(grid: Grid, spec: NoiseSpec, count, rows):
+    """The t-lines t = j*dt, j in `rows`, of the OU field of `count` paths
+    from spec.path_index, shaped (count, len(rows), n_s + 1, m).
+
+    Each Philox chunk of the cell draw builds its paths' field on its own
+    (`_ou_field`) and keeps only these rows, bit for bit the rows of the
+    whole block's field.
+    """
+
+    def rows_of(offset, n):
+        values = _ou_field(grid, NoiseSpec(spec.seed, spec.path_index + offset, spec.m), n).values
+        return np.moveaxis(values[:, :, rows, :], 2, 1)
+
+    return path_slices(rows_of, count, normal_grid_chunk(grid.n_s, grid.n_t, spec.m))
+
+
 def sample_sheet_nodes(grid: Grid, seed: int, n_paths: int, nodes, workers: int = 1):
     """Brownian sheet at the lattice `nodes` [(i, j), ...] for paths 0..n_paths-1.
 
@@ -245,7 +269,8 @@ def sample_sheet_nodes(grid: Grid, seed: int, n_paths: int, nodes, workers: int 
         at = np.stack([w[:, i, j, 0] for i, j in nodes], axis=1)
         return at, (w[0].copy() if start == 0 else None)
 
-    parts = _map_blocks(block, n_paths, SHEET_CHUNK, workers)
+    chunk = min(SHEET_CHUNK, normal_grid_chunk(grid.n_s, grid.n_t, 1))
+    parts = _map_blocks(block, n_paths, chunk, workers)
     return np.concatenate([p[0] for p in parts]), parts[0][1]
 
 
@@ -262,7 +287,9 @@ def sample_ou_corner(grid: Grid, seed: int, n_paths: int, workers: int = 1):
         fld = _ou_field(grid, spec, count).values
         return exact, fld[:, -1, -1, 0].copy(), (fld[0].copy() if start == 0 else None)
 
-    parts = _map_blocks(block, n_paths, SHEET_CHUNK, workers)
+    # the exact sampler's n_t + 1 levels are the widest of the block's draws
+    chunk = min(SHEET_CHUNK, normal_grid_chunk(grid.n_s, grid.n_t + 1, 1))
+    parts = _map_blocks(block, n_paths, chunk, workers)
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]), parts[0][2])
 
@@ -316,9 +343,9 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
     j_gap = grid.t_index(t_gap)
 
     def sample(start, count):
-        z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
-        xk = fold_line(vf, z_field.t_line(0), x0, grid.ds).x[:, 0, :]
-        xg = fold_line(vf, z_field.t_line(j_gap), x0, grid.ds).x[:, 0, :]
+        lines = _ou_lines(grid, NoiseSpec(seed, start, m), count, [0, j_gap])
+        xk = fold_line(vf, lines[:, 0], x0, grid.ds).x[:, 0, :]
+        xg = fold_line(vf, lines[:, 1], x0, grid.ds).x[:, 0, :]
         F = payoff_f.f(xk)
         G = payoff_g.f(xk)
         Fp = payoff_f.f(xg)
@@ -355,8 +382,8 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
     wts = intercept_weights(gaps)
 
     def sample(start, count):
-        z_field = _ou_field(grid, NoiseSpec(seed, start, m), count)
-        end = fold_line(vf, z_field.t_line(0), x0, grid.ds, reads=("Gamma",))
+        lines = _ou_lines(grid, NoiseSpec(seed, start, m), count, [0] + j_gaps)
+        end = fold_line(vf, lines[:, 0], x0, grid.ds, reads=("Gamma",))
         xk = end.x[:, 0, :]
         F = payoff_f.f(xk)
         G = payoff_g.f(xk)
@@ -364,8 +391,8 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
             "pa,pab,pb->p", payoff_f.grad_f(xk), end.Gamma[:, 0, :, :], payoff_g.grad_f(xk)
         )
         extrap = np.zeros(count)
-        for wgt, gap, j in zip(wts, gaps, j_gaps):
-            xg = fold_line(vf, z_field.t_line(j), x0, grid.ds).x[:, 0, :]
+        for r, (wgt, gap) in enumerate(zip(wts, gaps), start=1):
+            xg = fold_line(vf, lines[:, r], x0, grid.ds).x[:, 0, :]
             Fp = payoff_f.f(xg)
             Gp = payoff_g.f(xg)
             extrap = extrap + wgt * ((Fp - F) * (Gp - G) / gap)
@@ -407,10 +434,10 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
             levels = cumsum0(np.sum(incs[:, :k, :], axis=1), axis=-1)
             return [levels[:, 0]] + [levels[:, j] for j in j_lags]
         if target in ("x", "u"):
-            z_field = _ou_field(grid, NoiseSpec(seed, start, model.vf.m), count)
+            lines = _ou_lines(grid, NoiseSpec(seed, start, model.vf.m), count, [0] + j_lags)
             reads, out = ("x",) if target == "x" else ("U",), []
-            for j in [0] + j_lags:
-                end = fold_line(model.vf, z_field.t_line(j), model.x0, grid.ds, reads=reads)
+            for r in range(lines.shape[1]):
+                end = fold_line(model.vf, lines[:, r], model.x0, grid.ds, reads=reads)
                 if target == "x":
                     x = end.x[:, 0, :]
                     out.append(np.linalg.norm(x, axis=-1) if model.vf.d > 1 else x[:, 0])

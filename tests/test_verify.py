@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sheetcalc import lattice, verify
+from sheetcalc import lattice, philox, verify
 from sheetcalc.errors import ConfigurationError, DegenerateDataError, NumericsError
 from sheetcalc.lattice import Grid, LineProcess, NoiseSpec, Stream, sample_boundary_bm
 from sheetcalc.malliavin import Payoff, solve_state_line
@@ -18,7 +18,9 @@ from sheetcalc.models import (
     zero_model,
 )
 from sheetcalc.hyperbolic import zero_coefficients
+from sheetcalc.rules import run_rules
 from sheetcalc.verify import (
+    FIELD_CHUNK,
     LINE_CHUNK,
     _run_paired,
     intercept_weights,
@@ -27,6 +29,7 @@ from sheetcalc.verify import (
     run_holder_scan,
     run_ibp,
     run_reversibility,
+    sample_ou_corner,
 )
 
 GRID = Grid(32, 1, 1.0 / 32, 1.0)
@@ -348,3 +351,74 @@ class TestLineFold:
                 run_bismut(model, f, grid, 6, 1)
         assert (line.value.path, line.value.cell) == (path, cell)
         assert (folded.value.path, folded.value.cell) == (path, cell)
+
+
+def _field_runs():
+    """Each runner that reduces fields per path, on 300 paths of FIELD_GRID."""
+    f, g, lags = coordinate_payoff(), square_payoff(), [1.0 / 32, 1.0 / 16, 1.0 / 8]
+    return {
+        "rules": lambda: run_rules(n_paths=300, seed=5),
+        "reversibility": lambda: run_reversibility(
+            linear_1d(), f, g, FIELD_GRID, 1.0 / 8, 300, 5).to_dict(),
+        "carre": lambda: run_carre_limit(
+            linear_1d(), f, g, FIELD_GRID, lags, 300, 5).to_dict(),
+        "holder-x": lambda: run_holder_scan(
+            "x", FIELD_GRID, 2.0, lags, 300, 5, model=linear_1d()).to_dict(),
+    }
+
+
+class TestPhiloxChunkSlices:
+    """Fields are built and reduced one Philox chunk of paths at a time; the
+    deviates are a pure function of their address, so the slices change no
+    reported bit."""
+
+    @pytest.mark.parametrize("name", sorted(_field_runs()))
+    def test_reports_do_not_depend_on_the_chunk(self, name, monkeypatch):
+        run = _field_runs()[name]
+        whole = run()
+        fields = []
+        real = verify._ou_field
+        monkeypatch.setattr(verify, "_ou_field",
+                            lambda grid, spec, count: fields.append(count) or real(grid, spec, count))
+        monkeypatch.setattr(philox, "_CHUNK", 1 << 12)
+        assert run() == whole
+        if name != "rules":
+            # 4096 counters hold 64 paths of the 32 x 8 cell draw
+            assert fields == [64] * 4 + [44]
+
+    def test_ou_corner_blocks_fit_one_chunk_of_the_widest_draw(self, monkeypatch):
+        passes = []
+        real = philox._philox_words
+
+        def counted(bitgen, flat, word1, lanes):
+            passes.append(len(philox._runs(flat)) * len(lanes))
+            return real(bitgen, flat, word1, lanes)
+
+        monkeypatch.setattr(philox, "_philox_words", counted)
+        sample_ou_corner(Grid(16, 64, 1.0 / 16, 1.0 / 64), 3, 1008)
+        # two 504-path blocks, each one chunk of its 260-lane exact-OU draw,
+        # 256-lane cell draw and 4-lane boundary draw; 512-path blocks would
+        # cut each first exact draw at 504 paths and make 1300 passes
+        assert sum(passes) == 2 * (260 + 256 + 4)
+
+    def test_rules_peak_is_bounded_in_paths(self):
+        tracemalloc.start()
+        try:
+            run_rules(n_paths=4000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 250 MiB when each rule held its whole draw
+        assert peak <= 40 * 2**20
+
+    def test_reversibility_block_holds_lines_not_the_field(self):
+        f = coordinate_payoff()
+        tracemalloc.start()
+        try:
+            run_reversibility(linear_1d(), f, f, Grid(32, 16, 1.0 / 32, 1.0 / 64), 0.25,
+                              FIELD_CHUNK, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 37 MiB when the block held its whole field
+        assert peak <= 24 * 2**20
