@@ -43,9 +43,19 @@ Sweep order and storage: node (i, j) depends only on (i-1, j), (i, j-1) and
 (i-1, j-1), so the sweep advances one anti-diagonal i + j = k at a time
 (Lamport's hyperplane method), S + T steps for an S x T grid, each over
 every node of the diagonal at once.  Every node's arithmetic is that of a
-cell-by-cell sweep, so the results do not depend on the order.  The state is
-stored node-major, (S+1, T+1, *batch, ...), so that each node's values for
-all paths are one contiguous block; the solution exposes batch-first views.
+cell-by-cell sweep, so the results do not depend on the order.  The state
+lives on a window of diagonals: node (i, j) sits at slot i of diagonal
+k = i + j, so a diagonal's nodes are one contiguous run of slots, each
+holding the node's values for all paths.  A step reads diagonal k and
+writes k + 1, and x on k + 2, so x keeps three diagonals and every other
+field two; the boundary lines are fed in as their diagonal comes up.  Every
+read of the state is a basic-slice view and every write a slice assignment.
+
+Each completed diagonal goes to a recorder.  By default it is written into
+node-major arrays, (S+1, T+1, *batch, ...), and the solution exposes them
+batch-first; a second-order flow that is never driven is a read-only view of
+zeros.  With `keep_p` only p at the named nodes is kept, so a caller that
+reads a few nodes holds the window, not the field.
 
 Per-diagonal cost: stacked small-matrix products go through
 `malliavin._matmul`, elementwise over every path and node of a diagonal, so
@@ -54,27 +64,30 @@ multiply, not one matmul call per 1 x 1 matrix.  The freeze of dead paths
 (`np.where`) is skipped on a diagonal with no dead path, where it would copy
 each new value unchanged, and the identity basis is a broadcast view.  A
 step does no work whose result is fixed before the sweep starts: u* and v*
-are transported only when b12 or b22 (for v*, b21 or b22) is present, and
-otherwise keep the zeros they start from; the freeze mask is kept only under
-a finite blowup_M, since at M = inf no node can leave the domain.  The norm
+are transported, and held, only when b12 or b22 (for v*, b21 or b22) is
+present, and otherwise stay zero; the freeze mask is kept only under a
+finite blowup_M, since at M = inf no node can leave the domain.  The norm
 tuple's sums of squares add the entries of each 1 x 1 or 2 x 2 matrix one
 by one in numpy's own order, without a reduction call.
 
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
-indices).  The check runs once, after the sweep finishes.  When several
-nodes are bad, the one named is the first in the order of an s-major
-cell-by-cell sweep, which checks the corner (0, 0) first, node (a, b >= 1)
-in row a at cell b - 1, and node (a + 1, 0) in row a just after node (a, 1).
+indices).  Each completed diagonal sets a bool flag per node and path (x, p,
+q or m non-finite, node in the domain), under either recorder; the flags are
+read once, after the sweep finishes.  When several nodes are bad, the one
+named is the first in the order of an s-major cell-by-cell sweep, which
+checks the corner (0, 0) first, node (a, b >= 1) in row a at cell b - 1,
+and node (a + 1, 0) in row a just after node (a, 1).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from .lattice import BoundaryPath, CellIncrements, Grid, Stream, cumsum0, normal_grid
@@ -101,6 +114,8 @@ class CoefficientSet:
 
     b-callbacks take only x by construction.  Coefficients quadratic in a
     repeated differential must be symmetric in it; this is probed on build.
+    The sweep passes views of its own state, so a callback must not write to
+    its arguments.
     """
 
     d: int
@@ -250,15 +265,27 @@ def solve_system(
     incs: CellIncrements,
     blowup_M: float = np.inf,
     check_transpose: bool = False,
-) -> HyperbolicSolution:
+    keep_p: Optional[Sequence[Tuple[int, int]]] = None,
+) -> "HyperbolicSolution | np.ndarray":
     """Explicit anti-diagonal sweep of the full system with companions.
 
     All boundary/increment arrays may carry leading batch axes (paths).
-    check_transpose reconstructs the field from the stored t-increments
-    (the transposed association) and asserts agreement.  Raises
-    NumericsError on a non-finite value at an in-domain node.
+    Without keep_p the result is the whole `HyperbolicSolution`.  keep_p
+    names nodes (i, j); then only p at those nodes is kept and returned, an
+    array (*batch, len(keep_p), n) in the order given.  check_transpose
+    reconstructs the field from the stored t-increments (the transposed
+    association) and asserts agreement; it needs the whole solution.
+    Raises NumericsError on a non-finite value at an in-domain node.
     """
-    sol = _sweep(coeffs, boundaries, grid, incs, blowup_M)
+    if keep_p is not None:
+        if check_transpose:
+            raise ConfigurationError("check_transpose needs the whole solution, not keep_p")
+        S, T = grid.n_s, grid.n_t
+        keep_p = [(int(i), int(j)) for i, j in keep_p]
+        if not all(0 <= i <= S and 0 <= j <= T for i, j in keep_p):
+            raise ShapeError(f"keep_p names a node outside the {S} x {T} grid: {keep_p}")
+        return _sweep(coeffs, boundaries, grid, incs, blowup_M, lambda ctx: _KeptP(ctx, keep_p))
+    sol = _sweep(coeffs, boundaries, grid, incs, blowup_M, _Fields)
     if check_transpose:
         recon = sol.x[..., :, 0:1, :] + cumsum0(sol.dt_x, axis=-2)
         err = np.max(np.abs(np.where(sol.domain_mask[..., None], sol.x - recon, 0.0)))
@@ -270,7 +297,7 @@ def solve_system(
     return sol
 
 
-def _sweep(coeffs, boundaries, grid, incs, blowup_M):
+def _sweep(coeffs, boundaries, grid, incs, blowup_M, recorder):
     S, T = grid.n_s, grid.n_t
     xb_s, xb_t, pb, qb = boundaries.arrays()
     w = incs.values
@@ -286,47 +313,128 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M):
         raise ConfigurationError("corner inconsistency: x_s0[0] differs from x_0t[0]")
 
     ctx = _SweepContext(coeffs, xb_s, xb_t, pb, qb, w, blowup_M)
+    rec = recorder(ctx)
+    bad = np.zeros((S + 1, T + 1) + ctx.batch, dtype=bool)
+    bad_k = _by_diagonal(bad)
+
+    def finish(k):
+        """Diagonal k is final: flag its bad nodes and hand it to the recorder."""
+        bad_k[k, ctx.nodes(k)] = ctx.bad(k)
+        rec.record(k)
+
     # Anti-diagonal wavefront: node (i, j) depends only on (i-1, j), (i, j-1)
     # and (i-1, j-1), so step k advances every node on diagonal i + j = k.
     # Overflow to inf is monitored semantics (caught by the mask or raised
     # as NumericsError), so the low-level warnings stay silent.
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx._complete(0)
+        ctx.feed(0)
+        ctx.complete(0)
+        finish(0)
         for k in range(S + T):
+            ctx.feed(k + 1)
             ctx.diagonal(k)
-            ctx._complete(k + 1)
+            ctx.complete(k + 1)
+            finish(k + 1)
 
-    finite = np.isfinite(ctx.m_field)
-    for arr in (ctx.x, ctx.p, ctx.q):
-        finite &= np.all(np.isfinite(arr), axis=-1)
-    bad = ~ctx.blown & ~finite
     nodes = np.argwhere(bad.reshape(S + 1, T + 1, -1).any(axis=-1)).tolist()
     if nodes:
         # the first node of the cell sweep's order (module docstring)
         a, b = min(nodes, key=lambda n: (n[0], n[1] - 1, 0) if n[1] else (n[0] - 1, 0, 1))
         path = tuple(int(v) for v in np.argwhere(bad[a, b])[0])
         raise NumericsError(f"non-finite value in-domain at node {(a, b)}", cell=(a, b), path=path)
-
-    def batch_first(a, trail):
-        return np.moveaxis(a, (0, 1), (a.ndim - trail - 2, a.ndim - trail - 1))
-
-    return HyperbolicSolution(
-        x=batch_first(ctx.x, 1), p=batch_first(ctx.p, 1), q=batch_first(ctx.q, 1),
-        u=batch_first(ctx.u, 2), u_inv=batch_first(ctx.u_inv, 2),
-        u_star=batch_first(ctx.u_star, 3),
-        v=batch_first(ctx.v, 2), v_inv=batch_first(ctx.v_inv, 2),
-        v_star=batch_first(ctx.v_star, 3),
-        ds_x=batch_first(ctx.ds_x, 1), dt_x=batch_first(ctx.dt_x, 1),
-        domain_mask=batch_first(~ctx.blown, 0), m_field=batch_first(ctx.m_field, 0),
-        grid=grid, blowup_M=blowup_M,
-    )
+    return rec.result(grid, blowup_M)
 
 
-# One transport direction: its step (di, dj), the companion and flow triple
-# it advances, and its coefficient slots.  `own` is the state's increment
-# along the step; slot b_kl takes k copies of it and l increments across
-# the step.  k1, k2 are the companion's c or e callbacks.
-_Side = namedtuple("_Side", "di dj comp flow flow_inv flow_star k1 k2 b11 b21 b12 b22")
+def _by_diagonal(a):
+    """A strided view of node-major a, (rows, cols, ...), whose entry [k, i]
+    is node (i, k - i) of a, shaped (rows + cols - 1, rows, ...).  Only the
+    entries that are nodes of a lie in its memory, so the view is read and
+    written only through a diagonal's slots [lo, hi)."""
+    s0, s1 = a.strides[:2]
+    rows, cols = a.shape[:2]
+    return as_strided(a, (rows + cols - 1, rows) + a.shape[2:], (s1, s0 - s1) + a.strides[2:])
+
+
+class _Fields:
+    """Recorder of the whole solution: every completed diagonal is written
+    into node-major arrays, (S+1, T+1, *batch, ...), that the solution
+    exposes batch-first."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        S, T, batch, d, n = ctx.S, ctx.T, ctx.batch, ctx.c.d, ctx.c.n
+
+        def nodes(*trail, rows=S + 1, cols=T + 1, dtype=np.float64):
+            return np.zeros((rows, cols) + batch + trail, dtype=dtype)
+
+        # node-major arrays of the fields with a ring in ctx; a second-order
+        # flow without one is never driven, and is a read-only view of zeros
+        self.out = {"x": nodes(d), "p": nodes(n), "q": nodes(n), "u": nodes(d, d),
+                    "u_inv": nodes(d, d), "v": nodes(d, d), "v_inv": nodes(d, d),
+                    "m_field": nodes()}
+        self.zero = {}
+        for name in ("u_star", "v_star"):
+            if getattr(ctx, name) is None:
+                self.zero[name] = np.broadcast_to(0.0, (S + 1, T + 1) + batch + (d, d, d))
+            else:
+                self.out[name] = nodes(d, d, d)
+        self.ds_x = nodes(d, rows=S)
+        self.dt_x = nodes(d, cols=T)
+        self.blown = nodes(dtype=bool)
+        # (diagonal view of the output, ring, slots of the nodes it holds)
+        every = ctx.nodes
+        self.writes = [(_by_diagonal(a), getattr(ctx, name), every)
+                       for name, a in self.out.items()]
+        self.writes += [(_by_diagonal(self.ds_x), ctx.ds_x, ctx.s_nodes),
+                        (_by_diagonal(self.dt_x), ctx.dt_x, ctx.t_nodes)]
+        if ctx.masked:
+            self.writes.append((_by_diagonal(self.blown), ctx.blown, every))
+
+    def record(self, k):
+        at = self.ctx.at
+        for out, ring, nodes in self.writes:
+            sel = nodes(k)
+            if sel.start < sel.stop:
+                out[k, sel] = at(ring, k)[sel]
+
+    def result(self, grid, blowup_M):
+        nb = len(self.ctx.batch)
+
+        def batch_first(a):
+            return np.moveaxis(a, (0, 1), (nb, nb + 1))
+
+        return HyperbolicSolution(
+            **{name: batch_first(a) for name, a in {**self.out, **self.zero}.items()},
+            ds_x=batch_first(self.ds_x), dt_x=batch_first(self.dt_x),
+            domain_mask=batch_first(~self.blown), grid=grid, blowup_M=blowup_M,
+        )
+
+
+class _KeptP:
+    """Recorder of p at the named nodes only, batch-first (*batch, nodes, n)."""
+
+    def __init__(self, ctx, nodes):
+        self.ctx = ctx
+        self.p = np.zeros(ctx.batch + (len(nodes), ctx.c.n))
+        self.on = {}  # diagonal -> [(column of self.p, slot)]
+        for r, (i, j) in enumerate(nodes):
+            self.on.setdefault(i + j, []).append((r, i))
+
+    def record(self, k):
+        p = self.ctx.at(self.ctx.p, k)
+        for r, i in self.on.get(k, ()):
+            self.p[..., r, :] = p[i]
+
+    def result(self, grid, blowup_M):
+        return self.p
+
+
+# One transport direction: its slot shift (a step in s moves a node one slot
+# up, a step in t keeps its slot), the companion and flow rings it advances,
+# and its coefficient slots.  `own` is the state's increment along the step;
+# slot b_kl takes k copies of it and l increments across the step.  k1, k2
+# are the companion's c or e callbacks.
+_Side = namedtuple("_Side", "di comp flow flow_inv flow_star k1 k2 b11 b21 b12 b22")
 
 
 def _bind(fn, slot):
@@ -334,14 +442,17 @@ def _bind(fn, slot):
 
 
 class _SweepContext:
-    """Mutable node-major state of one sweep, advanced one anti-diagonal at a
-    time; index arrays (i, j) address the nodes of a diagonal."""
+    """State of one sweep on a window of diagonals.  Node (i, j) sits at
+    slot i of diagonal k = i + j; each field is a ring of diagonals,
+    (ring, S+1, *batch, ...), and `at(ring, k)` is diagonal k's entry.  x
+    keeps three diagonals (k, k + 1 and the k + 2 it writes), every other
+    field two (k and k + 1)."""
 
     def __init__(self, coeffs, xb_s, xb_t, pb, qb, w, blowup_M):
         c = self.c = coeffs
         d, n, m = c.d, c.n, c.m
         S, T = self.S, self.T = w.shape[-3], w.shape[-2]
-        batch = np.broadcast_shapes(
+        batch = self.batch = np.broadcast_shapes(
             w.shape[:-3], xb_s.shape[:-2], xb_t.shape[:-2], pb.shape[:-2], qb.shape[:-2]
         )
 
@@ -349,104 +460,149 @@ class _SweepContext:
             """Boundary (..., k, c) as a node-major (k, *batch, c) view."""
             return np.moveaxis(np.broadcast_to(b, batch + b.shape[-2:]), -2, 0)
 
-        def nodes(*trail):
-            return np.zeros((S + 1, T + 1) + batch + trail)
+        def ring(*trail, size=2, dtype=np.float64):
+            return np.zeros((size, S + 1) + batch + trail, dtype=dtype)
 
-        # Node-major storage: x[i, j] is one contiguous (*batch, d) block.
-        self.x, self.p, self.q = nodes(d), nodes(n), nodes(n)
-        self.u, self.u_inv, self.u_star = nodes(d, d), nodes(d, d), nodes(d, d, d)
-        self.v, self.v_inv, self.v_star = nodes(d, d), nodes(d, d), nodes(d, d, d)
-        self.ds_x = np.zeros((S, T + 1) + batch + (d,))
-        self.dt_x = np.zeros((S + 1, T) + batch + (d,))
-        self.m_field = nodes()
-        self.blown = np.zeros((S + 1, T + 1) + batch, dtype=bool)
-        self.eye = np.eye(d)
-
-        self.x[:, 0] = line(xb_s)
-        self.x[0, :] = line(xb_t)
-        self.p[0, :] = line(pb)
-        self.q[:, 0] = line(qb)
-        for a in (self.u, self.u_inv, self.v, self.v_inv):
-            a[0, 0] = self.eye
-        self.ds_x[:, 0] = line(np.diff(xb_s, axis=-2))
-        self.dt_x[0, :] = line(np.diff(xb_t, axis=-2))
-        # a view: a contiguous node-major copy of w would cost its full size
-        self.w = np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1))
+        self.lines = (line(xb_s), line(xb_t), line(pb), line(qb),
+                      line(np.diff(xb_s, axis=-2)), line(np.diff(xb_t, axis=-2)))
+        self.x = ring(d, size=3)
+        self.p, self.q = ring(n), ring(n)
+        self.u, self.u_inv = ring(d, d), ring(d, d)
+        self.v, self.v_inv = ring(d, d), ring(d, d)
+        # u* (v*) is driven only by b12 or b22 (b21 or b22)
+        self.u_star = ring(d, d, d) if c.b12 is not None or c.b22 is not None else None
+        self.v_star = ring(d, d, d) if c.b21 is not None or c.b22 is not None else None
+        self.ds_x, self.dt_x = ring(d), ring(d)
+        self.m_field = ring()
         self.M = blowup_M
         # at M = inf no node can freeze, so `blown` stays all False
         self.masked = not np.isinf(blowup_M)
+        self.blown = ring(dtype=bool) if self.masked else None
+        self.eye = np.eye(d)
+        # cell (i, k - i) at [k, i]: a view, where a copy would cost w's size
+        self.w = _by_diagonal(
+            np.moveaxis(np.broadcast_to(w, batch + (S, T, m)), (-3, -2), (0, 1)))
+        # diagonal 0: the corner x(0, 0) is taken from x_0t, which the corner
+        # check holds equal to x_s0[0], and the flows start at I
+        self.x[0, 0] = self.lines[1][0]
+        for a in (self.u, self.u_inv, self.v, self.v_inv):
+            a[0, 0] = self.eye
+        self.lo = 0  # first slot of the current diagonal
         self.dead = None  # the current diagonal's frozen paths, (nodes, *batch)
         self.all_live = True  # no path dead on the current diagonal
 
         # the b12/b21 assignment (module docstring)
         self.s_side = _Side(
-            1, 0, self.p, self.u, self.u_inv, self.u_star, c.c1, c.c2,
+            1, self.p, self.u, self.u_inv, self.u_star, c.c1, c.c2,
             b11=c.b11,
             b21=_bind(c.b21, lambda f: lambda x, o, a: f(x, o, o, a)),
             b12=c.b12,
             b22=_bind(c.b22, lambda f: lambda x, o, a, a2: f(x, o, o, a, a2)),
         )
         self.t_side = _Side(
-            0, 1, self.q, self.v, self.v_inv, self.v_star, c.e1, c.e2,
+            0, self.q, self.v, self.v_inv, self.v_star, c.e1, c.e2,
             b11=_bind(c.b11, lambda f: lambda x, o, a: f(x, a, o)),
             b21=_bind(c.b12, lambda f: lambda x, o, a: f(x, a, o, o)),
             b12=_bind(c.b21, lambda f: lambda x, o, a, a2: f(x, a, a2, o)),
             b22=_bind(c.b22, lambda f: lambda x, o, a, a2: f(x, a, a2, o, o)),
         )
 
+    @staticmethod
+    def at(ring, k):
+        return ring[k % len(ring)]
+
+    def nodes(self, k):
+        """Slots of diagonal k's nodes."""
+        return slice(max(0, k - self.T), min(self.S, k) + 1)
+
+    def s_nodes(self, k):
+        """Slots of diagonal k's nodes with an s-step (i < S)."""
+        return slice(max(0, k - self.T), min(self.S, k + 1))
+
+    def t_nodes(self, k):
+        """Slots of diagonal k's nodes with a t-step (j < T)."""
+        return slice(max(0, k - self.T + 1), min(self.S, k) + 1)
+
+    def feed(self, k):
+        """Boundary data of diagonal k, and of x on diagonal k + 1."""
+        at, S, T = self.at, self.S, self.T
+        xs, xt, ps, qs, dsx, dtx = self.lines
+        if k + 1 <= S:
+            at(self.x, k + 1)[k + 1] = xs[k + 1]
+        if k + 1 <= T:
+            at(self.x, k + 1)[0] = xt[k + 1]
+        if k <= T:
+            at(self.p, k)[0] = ps[k]
+        if k <= S:
+            at(self.q, k)[k] = qs[k]
+        if k < S:
+            at(self.ds_x, k)[k] = dsx[k]
+        if k < T:
+            at(self.dt_x, k)[0] = dtx[k]
+
+    def bad(self, k):
+        """Non-finite in-domain flags of diagonal k's nodes, (nodes, *batch)."""
+        at, every = self.at, self.nodes(k)
+        finite = np.isfinite(at(self.m_field, k)[every])
+        for a in (self.x, self.p, self.q):
+            finite &= np.all(np.isfinite(at(a, k)[every]), axis=-1)
+        if self.masked:
+            return ~at(self.blown, k)[every] & ~finite
+        return ~finite
+
     def diagonal(self, k):
         """From the nodes (i, k - i): s-steps (i < S), then t-steps (k - i < T),
         then the x update of cells (i < S, k - i < T)."""
-        S, T = self.S, self.T
-        i = np.arange(max(0, k - T), min(S, k) + 1)
-        j = k - i
-        # nodes on the top edge j = T take no t-step; on i = S no s-step
-        lo = 1 if j[0] == T else 0
-        hi = len(i) - 1 if i[-1] == S else len(i)
-        s = slice(None, hi)
-        t = slice(lo, None)
+        at, every = self.at, self.nodes(k)
+        s, t = self.s_nodes(k), self.t_nodes(k)
+        cell = slice(t.start, s.stop)
+        lo = self.lo = every.start
         if self.masked:
-            self.dead = self.blown[i, j]
+            self.dead = at(self.blown, k)[every]
             self.all_live = not self.dead.any()
         # state at each node, zeroed on dead paths so that coefficient
         # callbacks never see frozen garbage
-        xs = self._live(slice(None), self.x[i, j], 0.0)
-        ps = self._live(slice(None), self.p[i, j], 0.0)
-        qs = self._live(slice(None), self.q[i, j], 0.0)
-        dsx = self.ds_x[i[s], j[s]]
-        dtx = self.dt_x[i[t], j[t]]
-        xi = self._live(s, dsx, 0.0)
-        tau = self._live(t, dtx, 0.0)
+        xs = self._live(every, at(self.x, k)[every], 0.0)
+        ps = self._live(every, at(self.p, k)[every], 0.0)
+        qs = self._live(every, at(self.q, k)[every], 0.0)
+        xi = self._live(s, at(self.ds_x, k)[s], 0.0)
+        tau = self._live(t, at(self.dt_x, k)[t], 0.0)
 
-        self._transport(self.s_side, s, i[s], j[s], xs[s], ps[s], qs[s], xi)
-        if k < S:
+        def on(a, sel):
+            """a over diagonal k's nodes, at the slots sel."""
+            return a[sel.start - lo:sel.stop - lo]
+
+        self._transport(self.s_side, k, s, on(xs, s), on(ps, s), on(qs, s), xi)
+        if k < self.S:
             # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
-            self.v[k + 1, 0] = self.u[k + 1, 0]
-            self.v_inv[k + 1, 0] = self.u_inv[k + 1, 0]
+            at(self.v, k + 1)[k + 1] = at(self.u, k + 1)[k + 1]
+            at(self.v_inv, k + 1)[k + 1] = at(self.u_inv, k + 1)[k + 1]
 
-        self._transport(self.t_side, t, i[t], j[t], xs[t], ps[t], qs[t], tau)
-        if k < T:
+        self._transport(self.t_side, k, t, on(xs, t), on(ps, t), on(qs, t), tau)
+        if k < self.T:
             # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
-            self.u[0, k + 1] = self.v[0, k + 1]
-            self.u_inv[0, k + 1] = self.v_inv[0, k + 1]
+            at(self.u, k + 1)[0] = at(self.v, k + 1)[0]
+            at(self.u_inv, k + 1)[0] = at(self.v_inv, k + 1)[0]
 
-        if lo < hi:
-            cell = slice(lo, hi)
-            self._advance_x(cell, i[cell], j[cell], xs[cell], ps[cell], qs[cell],
-                            dsx[lo:], xi[lo:], dtx[:hi - lo], tau[:hi - lo])
+        if cell.start < cell.stop:
+            self._advance_x(k, cell, on(xs, cell), on(ps, cell), on(qs, cell),
+                            xi[cell.start - s.start:], tau[:cell.stop - t.start])
 
     def _live(self, sel, value, frozen):
-        """value on live paths and frozen on dead ones, at the diagonal's nodes
-        sel; value itself when the diagonal has no dead path (np.where would
-        copy it unchanged)."""
+        """value on live paths and frozen on dead ones, at the current
+        diagonal's slots sel; value itself when the diagonal has no dead path
+        (np.where would copy it unchanged)."""
         if self.all_live:
             return value
-        dead = self.dead[sel]
+        dead = self.dead[sel.start - self.lo:sel.stop - self.lo]
         return np.where(dead.reshape(dead.shape + (1,) * (value.ndim - dead.ndim)), frozen, value)
 
-    def _advance_x(self, sel, i, j, xs, ps, qs, dsx, xi, dtx, tau):
-        c = self.c
-        dw = self.w[i, j]
+    def _advance_x(self, k, cell, xs, ps, qs, xi, tau):
+        """The cells with lower-left corners at diagonal k's slots cell: x on
+        diagonal k + 2, the increments out of its nodes on k + 1."""
+        c, at = self.c, self.at
+        up = slice(cell.start + 1, cell.stop + 1)
+        dw = np.ascontiguousarray(self.w[k, cell])  # contiguous, as the state arguments are
         delta = 0.0  # a scalar start adds +0.0 as a zeros array would
         if c.a1 is not None:
             delta = delta + c.a1(xs, ps, qs, dw)
@@ -460,31 +616,33 @@ class _SweepContext:
             delta = delta + c.b21(xs, xi, xi, tau)
         if c.b22 is not None:
             delta = delta + c.b22(xs, xi, xi, tau, tau)
-        new_dsx = dsx + delta
-        new_dtx = dtx + delta
-        self.ds_x[i, j + 1] = self._live(sel, new_dsx, 0.0)
-        self.dt_x[i + 1, j] = self._live(sel, new_dtx, 0.0)
-        self.x[i + 1, j + 1] = self._live(sel, self.x[i, j + 1] + new_dsx, self.x[i, j])
+        new_dsx = at(self.ds_x, k)[cell] + delta
+        new_dtx = at(self.dt_x, k)[cell] + delta
+        at(self.ds_x, k + 1)[cell] = self._live(cell, new_dsx, 0.0)
+        at(self.dt_x, k + 1)[up] = self._live(cell, new_dtx, 0.0)
+        at(self.x, k + 2)[up] = self._live(cell, at(self.x, k + 1)[cell] + new_dsx,
+                                           at(self.x, k)[cell])
 
-    def _transport(self, side, sel, i, j, xs, ps, qs, own):
-        """side's companion and flow triple advance from nodes (i, j), the
-        diagonal's nodes sel, one step; own is the state's increment along it.
-        Without b12 and b22 the second-order flow is never driven: it keeps
-        the zeros it was allocated with, and is neither read nor written."""
-        a, b = i + side.di, j + side.dj
+    def _transport(self, side, k, sel, xs, ps, qs, own):
+        """side's companion and flow triple advance one step from diagonal
+        k's slots sel onto diagonal k + 1; own is the state's increment along
+        it.  Without b12 and b22 the second-order flow has no ring: it is
+        never driven, and the solution keeps its zeros."""
+        at = self.at
+        to = slice(sel.start + side.di, sel.stop + side.di)
         dc = 0.0
         if side.k1 is not None:
             dc = dc + side.k1(xs, ps, qs, own)
         if side.k2 is not None:
             dc = dc + side.k2(xs, ps, qs, own, own)
-        ck = side.comp[i, j]
-        side.comp[a, b] = self._live(sel, ck + dc, ck)
+        ck = at(side.comp, k)[sel]
+        at(side.comp, k + 1)[to] = self._live(sel, ck + dc, ck)
 
         # G and the brace below enter the flows only through _matmul, which
         # adds +0.0, and through I - G, so each may start from its first
         # term as it is: the sign of a zero in them reaches no output.
-        fk = side.flow[i, j]
-        fik = side.flow_inv[i, j]
+        fk = at(side.flow, k)[sel]
+        fik = at(side.flow_inv, k)[sel]
         x_b = xs[..., None, :]
         own_b = own[..., None, :]
         basis = np.broadcast_to(self.eye, fk.shape)
@@ -497,10 +655,10 @@ class _SweepContext:
             G = np.broadcast_to(0.0, fk.shape)
         new_f = fk + _matmul(G, fk)
         new_fi = _matmul(fik, self.eye - G + _matmul(G, G))
-        side.flow[a, b] = self._live(sel, new_f, fk)
-        side.flow_inv[a, b] = self._live(sel, new_fi, fik)
+        at(side.flow, k + 1)[to] = self._live(sel, new_f, fk)
+        at(side.flow_inv, k + 1)[to] = self._live(sel, new_fi, fik)
 
-        if side.b12 is not None or side.b22 is not None:
+        if side.flow_star is not None:
             cols = np.swapaxes(fk, -1, -2)
             c1 = cols[..., :, None, :]
             c2 = cols[..., None, :, :]
@@ -519,28 +677,34 @@ class _SweepContext:
             dd = fk.shape[-1]
             flat = brace.reshape(brace.shape[:-3] + (dd * dd, dd))
             prod = _matmul(fik, np.swapaxes(flat, -1, -2))
-            star_k = side.flow_star[i, j]
+            star_k = at(side.flow_star, k)[sel]
             new_star = star_k + prod.reshape(prod.shape[:-1] + (dd, dd))
-            side.flow_star[a, b] = self._live(sel, new_star, star_k)
+            at(side.flow_star, k + 1)[to] = self._live(sel, new_star, star_k)
 
-    def _complete(self, k):
+    def complete(self, k):
         """Both u and v now exist on diagonal k: update m and, under a finite
         M only, the mask.  A node's running sup takes its s-predecessor
-        (a - 1, b) first, if a > 0, then its t-predecessor (a, b - 1), if b > 0.
+        (a - 1, b) first, if a > 0, then its t-predecessor (a, b - 1), if b > 0;
+        they sit at slots a - 1 and a of diagonal k - 1.
         """
-        a = np.arange(max(0, k - self.T), min(self.S, k) + 1)
-        b = k - a
-        s = slice(1 if a[0] == 0 else 0, None)
-        t = slice(None, -1 if b[-1] == 0 else None)
-        run = _tuple_norm(self.u[a, b], self.u_inv[a, b], self.v[a, b], self.v_inv[a, b])
-        run[s] = np.maximum(run[s], self.m_field[a[s] - 1, b[s]])
-        run[t] = np.maximum(run[t], self.m_field[a[t], b[t] - 1])
-        self.m_field[a, b] = run
+        at, every = self.at, self.nodes(k)
+        lo, hi = every.start, every.stop
+        s = slice(max(lo, 1), hi)   # a > 0
+        t = slice(lo, min(hi, k))   # b > 0
+        rs = slice(s.start - lo, s.stop - lo)
+        rt = slice(t.start - lo, t.stop - lo)
+        run = _tuple_norm(at(self.u, k)[every], at(self.u_inv, k)[every],
+                          at(self.v, k)[every], at(self.v_inv, k)[every])
+        m_prev = at(self.m_field, k - 1)
+        run[rs] = np.maximum(run[rs], m_prev[s.start - 1:s.stop - 1])
+        run[rt] = np.maximum(run[rt], m_prev[t])
+        at(self.m_field, k)[every] = run
         if self.masked:
             blown = ~(run <= self.M)  # NaN norms count as blown
-            blown[s] |= self.blown[a[s] - 1, b[s]]
-            blown[t] |= self.blown[a[t], b[t] - 1]
-            self.blown[a, b] = blown
+            b_prev = at(self.blown, k - 1)
+            blown[rs] |= b_prev[s.start - 1:s.stop - 1]
+            blown[rt] |= b_prev[t]
+            at(self.blown, k)[every] = blown
 
 
 def blowup_monitor(sol: HyperbolicSolution) -> BlowupSummary:

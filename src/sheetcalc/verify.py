@@ -10,14 +10,17 @@ reads, and only the objects it reads there.  A block over OU-field lines
 builds its field one Philox chunk of paths at a time (`_ou_lines`:
 `lattice.normal_grid_chunk` paths of the cell draw, the unit
 `philox.normal_block` draws in) and keeps only the t-lines it reads; the
-folds and the sums still run once per block at block width.  Each block
-returns one vector of raw sums over its paths
-(`_block_sums`), and the runner adds the vectors in block order
-(`_add_blocks`), so a report is bit-identical for any worker count; each
-runner keeps its own sums and its own standard-error formula.  A non-finite
-sample or a solver failure inside a block raises `NumericsError` naming the
-global path index; a sum that overflows raises it naming the first path of
-the block that made the total non-finite.
+folds and the sums still run once per block at block width.  The Hölder
+p scan sweeps each block's hyperbolic system once and keeps p only at the
+nodes it reads, (n_s, 0) and (n_s, j) for each lag j
+(`solve_system(..., keep_p=...)`): the sweep then holds a window of
+diagonals, never a node-major field.  Each block returns one vector of
+raw sums over its paths (`_block_sums`), and the runner adds the vectors in
+block order (`_add_blocks`), so a report is bit-identical for any worker
+count; each runner keeps its own sums and its own standard-error formula.
+A non-finite sample or a solver failure inside a block raises
+`NumericsError` naming the global path index; a sum that overflows raises it
+naming the first path of the block that made the total non-finite.
 
 `pool_map` is the package's one thread pool: an ordered map of a function
 over a list of items.  `_map_blocks` runs path blocks on it, for the paired
@@ -409,7 +412,8 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
 
     target: "sheet" (component 0 of the Brownian sheet), "x"/"u" (state or
     derivative flow of `model` over the OU field) or "p" (companion of the
-    hyperbolic system `coeffs`, default the bounded test system).
+    hyperbolic system `coeffs`, default the bounded test system, read from a
+    sweep that keeps p only at the level nodes).
     """
     lags = list(lags)
     if len(lags) < 3:
@@ -448,11 +452,13 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
                         if model.vf.d > 1 else U[:, 0, 0]
                     )
             return out
-        # target == "p": general hyperbolic sweep with zero boundary data
+        # target == "p": general hyperbolic sweep with zero boundary data,
+        # keeping p at the nodes read
         spec = NoiseSpec(seed, start, coeffs.m)
         incs = CellIncrements(sample_cell_increments_batch(grid, spec, count), grid)
-        sol = solve_system(coeffs, SystemBoundaries.zero(grid, coeffs), grid, incs)
-        return [sol.p[:, k, 0, 0]] + [sol.p[:, k, j, 0] for j in j_lags]
+        p = solve_system(coeffs, SystemBoundaries.zero(grid, coeffs), grid, incs,
+                         keep_p=[(k, j) for j in [0] + j_lags])
+        return [p[:, r, 0] for r in range(1 + len(j_lags))]
 
     def block(start, count):
         vals = level_values(start, count)

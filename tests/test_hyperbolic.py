@@ -29,6 +29,7 @@ from sheetcalc.hyperbolic import (
     identity_noise_coefficients,
     ou_coefficients,
     ou_system_boundaries,
+    _SweepContext,
     solve_system,
     zero_coefficients,
 )
@@ -563,18 +564,61 @@ class TestTranspositionSymmetry:
         assert np.all(sol.domain_mask) and np.all(sol_x.domain_mask)
 
 
+def _nan_cells(shape, seed, n_paths, cells, bounds=None, blowup_M=np.inf):
+    """bounded1d on an S x T grid with a NaN increment in each (path, i, j)
+    of cells: (coeffs, boundaries, grid, increments, blowup_M)."""
+    grid = Grid(*shape, 1.0 / shape[0], 1.0 / shape[1])
+    incs = _incs(grid, seed, n_paths)
+    for cell in cells:
+        incs.values[cell + (0,)] = np.nan
+    bounds = _zero_bounds(grid) if bounds is None else bounds
+    return bounded_test_coefficients(), bounds, grid, incs, blowup_M
+
+
+def _axis_case(cell):
+    # node (2, 0) is bad on path 0 through q_s0; a NaN in `cell` of path 1
+    # makes node cell + (1, 1) bad
+    bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
+    bounds.q_s0[0, 2, 0] = np.nan
+    return _nan_cells((4, 4), 19, 2, [(1,) + cell], bounds)
+
+
+def _corner_case(line):
+    # a NaN corner on path 1; path 0 also goes bad, at node (1, 1)
+    bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
+    for name in ("x_s0", "x_0t") if line == "x" else (line,):
+        getattr(bounds, name)[1, 0, 0] = np.nan
+    return _nan_cells((4, 4), 19, 2, [(0, 0, 0)], bounds)
+
+
+# the solves of TestFailingNodeOrder, by name
+FAILING_CASES = {
+    "row-order-8x8": lambda: _nan_cells((8, 8), 18, 4, [(1, 0, 6), (3, 3, 0)]),
+    "row-order-5x9": lambda: _nan_cells((5, 9), 18, 4, [(1, 0, 7), (3, 3, 0)]),
+    "row-order-9x5": lambda: _nan_cells((9, 5), 18, 4, [(1, 1, 4), (3, 3, 0)]),
+    "masked-6x6": lambda: _nan_cells((6, 6), 18, 2, [(1, 2, 3)], blowup_M=1e3),
+    "late-diagonal-8x8": lambda: _nan_cells((8, 8), 18, 2, [(0, 3, 7), (1, 4, 0)]),
+    "last-node-4x6": lambda: _nan_cells((4, 6), 19, 2, [(1, 3, 5)]),
+    "axis-cell-0-0": lambda: _axis_case((0, 0)),
+    "axis-cell-0-1": lambda: _axis_case((0, 1)),
+    "corner-x": lambda: _corner_case("x"),
+    "corner-p_0t": lambda: _corner_case("p_0t"),
+    "corner-q_s0": lambda: _corner_case("q_s0"),
+}
+
+
+def _failure(case, **kw):
+    coeffs, bounds, grid, incs, blowup_M = FAILING_CASES[case]()
+    with pytest.raises(NumericsError) as err:
+        solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M, **kw)
+    return err.value.cell, err.value.path
+
+
 class TestFailingNodeOrder:
     def test_names_the_first_bad_node_in_row_order(self):
         # NaN cells at path 1 (0, 6) and path 3 (3, 0): the bad node of path 3
         # lies on an earlier anti-diagonal, but (1, 7) comes first row by row
-        grid = Grid(8, 8, 0.125, 0.125)
-        incs = _incs(grid, 18, 4)
-        incs.values[1, 0, 6, 0] = np.nan
-        incs.values[3, 3, 0, 0] = np.nan
-        with pytest.raises(NumericsError) as err:
-            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
-        assert err.value.cell == (1, 7)
-        assert err.value.path == (1,)
+        assert _failure("row-order-8x8") == ((1, 7), (1,))
 
     @pytest.mark.parametrize("shape, path1_cell, expected", [
         ((5, 9), (0, 7), (1, 8)),
@@ -584,24 +628,16 @@ class TestFailingNodeOrder:
                                                                  expected):
         # as above on S < T and S > T grids: the bad node (4, 1) of path 3
         # lies on an earlier anti-diagonal than `expected` of path 1
-        grid = Grid(*shape, 1.0 / shape[0], 1.0 / shape[1])
-        incs = _incs(grid, 18, 4)
-        incs.values[(1,) + path1_cell + (0,)] = np.nan
-        incs.values[3, 3, 0, 0] = np.nan
-        with pytest.raises(NumericsError) as err:
-            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
-        assert err.value.cell == expected
-        assert err.value.path == (1,)
+        case = "row-order-%dx%d" % shape
+        assert np.isnan(FAILING_CASES[case]()[3].values[(1,) + path1_cell + (0,)])
+        assert _failure(case) == (expected, (1,))
 
     def test_nan_cell_under_a_finite_threshold_leaves_the_domain(self):
         # the NaN increment of path 1 in cell (2, 3) makes x, u and so m NaN
         # at node (3, 4); a NaN norm counts as blown, so that node and every
         # node above and right of it leave the domain and nothing is raised
-        grid = Grid(6, 6, 1.0 / 6, 1.0 / 6)
-        incs = _incs(grid, 18, 2)
-        incs.values[1, 2, 3, 0] = np.nan
-        sol = solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs,
-                           blowup_M=1e3)
+        coeffs, bounds, grid, incs, blowup_M = FAILING_CASES["masked-6x6"]()
+        sol = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M)
         assert np.isnan(sol.x[1, 3, 4, 0]) and np.isnan(sol.m_field[1, 3, 4])
         outside = np.zeros((2, 7, 7), dtype=bool)
         outside[1, 3:, 4:] = True
@@ -611,51 +647,112 @@ class TestFailingNodeOrder:
         # node (5, 1) of path 1 goes bad on diagonal 6; node (4, 8) of path 0,
         # earlier row by row, only on diagonal 12, the last one that can hold
         # a node checked before row 5
-        grid = Grid(8, 8, 0.125, 0.125)
-        incs = _incs(grid, 18, 2)
-        incs.values[0, 3, 7, 0] = np.nan
-        incs.values[1, 4, 0, 0] = np.nan
-        with pytest.raises(NumericsError) as err:
-            solve_system(bounded_test_coefficients(), _zero_bounds(grid), grid, incs)
-        assert err.value.cell == (4, 8)
-        assert err.value.path == (0,)
+        assert _failure("late-diagonal-8x8") == ((4, 8), (0,))
+
+    def test_checks_the_last_diagonal(self):
+        # the NaN in the last cell makes only node (4, 6), alone on the last
+        # diagonal, bad
+        assert _failure("last-node-4x6") == ((4, 6), (1,))
 
     @pytest.mark.parametrize("cell, expected", [((0, 0), (1, 1)), ((0, 1), (2, 0))])
     def test_axis_node_is_checked_after_its_row_neighbour(self, cell, expected):
-        # node (2, 0) is bad on path 0; a NaN in `cell` of path 1 makes node
-        # cell + (1, 1) bad.  (2, 0) is checked in row 1 right after (1, 1)
-        # and before (1, 2), although (1, 1) and (2, 0) share a diagonal.
-        grid = Grid(4, 4, 0.25, 0.25)
-        incs = _incs(grid, 19, 2)
-        incs.values[(1,) + cell + (0,)] = np.nan
-        bounds = _zero_bounds(grid, batch=(2,))
-        bounds.q_s0[0, 2, 0] = np.nan
-        with pytest.raises(NumericsError) as err:
-            solve_system(bounded_test_coefficients(), bounds, grid, incs)
-        assert err.value.cell == expected
-        assert err.value.path == ((1,) if expected == (1, 1) else (0,))
-
-    def _corner_error(self, bounds):
-        # path 0 also goes bad, at node (1, 1): the corner must still come first
-        grid = Grid(4, 4, 0.25, 0.25)
-        incs = _incs(grid, 19, 2)
-        incs.values[0, 0, 0, 0] = np.nan
-        with pytest.raises(NumericsError) as err:
-            solve_system(bounded_test_coefficients(), bounds, grid, incs)
-        return err.value
+        # (2, 0) is checked in row 1 right after (1, 1) and before (1, 2),
+        # although (1, 1) and (2, 0) share a diagonal
+        path = (1,) if expected == (1, 1) else (0,)
+        assert _failure("axis-cell-%d-%d" % cell) == (expected, path)
 
     def test_nan_x_corner_names_the_corner(self):
-        bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
-        bounds.x_s0[1, 0, 0] = bounds.x_0t[1, 0, 0] = np.nan
-        err = self._corner_error(bounds)
-        assert (err.cell, err.path) == ((0, 0), (1,))
+        # the corner must come before node (1, 1) of path 0
+        assert _failure("corner-x") == ((0, 0), (1,))
 
     @pytest.mark.parametrize("line", ["p_0t", "q_s0"])
     def test_nan_companion_corner_names_the_corner(self, line):
-        bounds = _zero_bounds(Grid(4, 4, 0.25, 0.25), batch=(2,))
-        getattr(bounds, line)[1, 0, 0] = np.nan
-        err = self._corner_error(bounds)
-        assert (err.cell, err.path) == ((0, 0), (1,))
+        assert _failure("corner-" + line) == ((0, 0), (1,))
+
+    @pytest.mark.parametrize("case", sorted(FAILING_CASES))
+    def test_kept_nodes_fail_as_the_whole_solve(self, case, monkeypatch):
+        # keep_p keeps the same per-node flags, so it names the same node and
+        # path, and only after the sweep has run over every diagonal
+        coeffs, bounds, grid, incs, blowup_M = FAILING_CASES[case]()
+        keep = _kept_nodes(grid)
+        try:
+            sol = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M)
+        except NumericsError as err:
+            steps = []
+            real = _SweepContext.diagonal
+            monkeypatch.setattr(_SweepContext, "diagonal",
+                                lambda ctx, k: steps.append(k) or real(ctx, k))
+            assert _failure(case, keep_p=keep) == (err.cell, err.path)
+            assert steps == list(range(grid.n_s + grid.n_t))
+        else:
+            kept = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M, keep_p=keep)
+            assert _bits(kept) == _bits(_p_at(sol, keep))
+
+
+def _kept_nodes(grid):
+    """The top edge (n_s, j), nodes on both axes and inside, one node twice,
+    in no diagonal order."""
+    S, T = grid.n_s, grid.n_t
+    top = [(S, j) for j in range(T, -1, -1)]
+    return top + [(0, 0), (0, T), (S // 2, 0), (0, T // 2), (1, 1), (S // 2, T // 2),
+                  (S - 1, T - 1), top[0]]
+
+
+def _p_at(sol, nodes):
+    return np.stack([sol.p[..., i, j, :] for i, j in nodes], axis=-2)
+
+
+def _bits(a):
+    return a.shape, a.dtype.str, np.ascontiguousarray(a).tobytes()
+
+
+def _rectangle_case(shape, batch):
+    """The full d = 2 system, Brownian boundaries, batch () or (3,)."""
+    grid = Grid(*shape, 1.0 / shape[0], 1.0 / shape[1])
+    n_paths = batch[0] if batch else None
+    bounds = _bm_bounds(grid, NoiseSpec(20, 0, 2), 2, 2, n_paths)
+    return full_d2_coefficients(), bounds, grid, _incs(grid, 20, n_paths, m=2), np.inf
+
+
+class TestKeptP:
+    """keep_p keeps p at the named nodes, bit for bit what the whole solve
+    holds there, signed zeros included."""
+
+    def _check(self, coeffs, bounds, grid, incs, blowup_M):
+        keep = _kept_nodes(grid)
+        sol = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M)
+        kept = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M, keep_p=keep)
+        assert _bits(kept) == _bits(_p_at(sol, keep))
+
+    @pytest.mark.parametrize("case", sorted(json.loads(PINS.read_text())))
+    def test_kept_p_matches_each_pinned_solve(self, case):
+        self._check(*_pin_case(case))
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batch3"])
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)], ids=["5x9", "9x5"])
+    def test_kept_p_matches_on_rectangles(self, shape, batch):
+        self._check(*_rectangle_case(shape, batch))
+
+    def test_kept_p_holds_signed_zeros(self):
+        # zero noise, p_0t = -0.0 on path 1 and d_s p = -dsx = -0.0: p is
+        # -0.0 on path 1 and +0.0 on path 0, as the whole solve has it
+        grid = Grid(5, 9, 0.2, 1.0 / 9)
+        coeffs = CoefficientSet(d=1, n=1, m=1, c1=lambda x, p, q, xi: -xi)
+        incs = CellIncrements(np.zeros((2, 5, 9, 1)), grid)
+        bounds = _zero_bounds(grid, batch=(2,))
+        bounds.p_0t[1] = -0.0
+        keep = _kept_nodes(grid)
+        sol = solve_system(coeffs, bounds, grid, incs)
+        kept = solve_system(coeffs, bounds, grid, incs, keep_p=keep)
+        assert np.any(np.signbit(sol.p)) and not np.all(np.signbit(sol.p))
+        assert _bits(kept) == _bits(_p_at(sol, keep))
+
+    def test_bad_requests_are_refused(self):
+        coeffs, bounds, grid, incs, _ = _pin_case("bounded1d-7x3")
+        with pytest.raises(ShapeError):
+            solve_system(coeffs, bounds, grid, incs, keep_p=[(8, 0)])
+        with pytest.raises(ConfigurationError):
+            solve_system(coeffs, bounds, grid, incs, keep_p=[(7, 0)], check_transpose=True)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,15 @@ import pytest
 
 from sheetcalc import lattice, philox, verify
 from sheetcalc.errors import ConfigurationError, DegenerateDataError, NumericsError
-from sheetcalc.lattice import Grid, LineProcess, NoiseSpec, Stream, sample_boundary_bm
+from sheetcalc.lattice import (
+    CellIncrements,
+    Grid,
+    LineProcess,
+    NoiseSpec,
+    Stream,
+    sample_boundary_bm,
+    sample_cell_increments_batch,
+)
 from sheetcalc.malliavin import Payoff, solve_state_line
 from sheetcalc.models import (
     constant_payoff,
@@ -17,10 +25,11 @@ from sheetcalc.models import (
     square_payoff,
     zero_model,
 )
-from sheetcalc.hyperbolic import zero_coefficients
+from sheetcalc.hyperbolic import ou_coefficients, ou_system_boundaries, solve_system, zero_coefficients
 from sheetcalc.rules import run_rules
 from sheetcalc.verify import (
     FIELD_CHUNK,
+    HYP_CHUNK,
     LINE_CHUNK,
     _run_paired,
     intercept_weights,
@@ -422,3 +431,36 @@ class TestPhiloxChunkSlices:
             tracemalloc.stop()
         # about 37 MiB when the block held its whole field
         assert peak <= 24 * 2**20
+
+
+class TestSweepWindow:
+    """The sweep holds a window of diagonals; the Hölder p scan keeps p only
+    at the nodes it reads."""
+
+    def test_holder_p_block_holds_the_window_not_the_field(self):
+        tracemalloc.start()
+        try:
+            run_holder_scan("p", Grid(32, 16, 1.0 / 32, 1.0 / 32), 2.0,
+                            [0.0625, 0.125, 0.25], HYP_CHUNK, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 117 MiB when the sweep wrote thirteen node-major fields; the
+        # block's cell increments and their draw take 16 MiB of this
+        assert peak <= 40 * 2**20
+
+    def test_whole_solve_peaks_no_higher_than_node_major_state(self):
+        grid = Grid(32, 32, 1.0 / 32, 1.0 / 32)
+        noise = NoiseSpec(5, 0, 1)
+        bounds = ou_system_boundaries(grid, sample_boundary_bm(32, 1.0 / 32, 1, noise, batch=64))
+        incs = CellIncrements(sample_cell_increments_batch(grid, noise, 64), grid)
+        tracemalloc.start()
+        try:
+            solve_system(ou_coefficients(1), bounds, grid, incs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 22.52 MiB when the sweep kept its own state node-major: the window
+        # adds little to the outputs, and the undriven u* and v* are views
+        # of zeros, not arrays
+        assert peak <= 22.5 * 2**20
