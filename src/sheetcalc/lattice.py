@@ -247,7 +247,8 @@ def sample_cell_increments_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndar
     else:
         paths = noise.path_index + np.arange(batch)
     z = normal_grid(noise.seed, paths, Stream.CELLS, grid.n_s, grid.n_t, noise.m)
-    return z * np.sqrt(grid.ds * grid.dt)
+    z *= np.sqrt(grid.ds * grid.dt)
+    return z
 
 
 def sample_boundary_bm(
@@ -278,4 +279,5 @@ def boundary_increments(n, step, dim, noise: NoiseSpec, channel, axis="s", batch
     stream = Stream.BOUNDARY_S if axis == "s" else Stream.BOUNDARY_T
     paths = noise.path_index if batch is None else noise.path_index + np.arange(batch)
     z = normal_grid(noise.seed, paths, stream, n, 1, dim, channel=channel)
-    return z[..., :, 0, :] * np.sqrt(step)
+    z *= np.sqrt(step)
+    return z[..., :, 0, :]

@@ -71,6 +71,9 @@ HYP_CHUNK = 2048     # paths per block for general hyperbolic sweeps
 # 10000 paths) and ou-cross-validation (16x64 grid, 10000 paths) configs:
 # 512-path blocks are faster than one whole batch even at one worker.
 SHEET_CHUNK = 512
+# Largest equal sample size whose KS p-value `ks_two_sample` computes itself:
+# scipy's exact limit for `ks_2samp(method="auto")`.
+KS_EXACT_MAX_N = 10000
 
 
 @dataclass
@@ -270,6 +273,7 @@ def sample_sheet_nodes(grid: Grid, seed: int, n_paths: int, nodes, workers: int 
         incs = sample_cell_increments_batch(grid, NoiseSpec(seed, start, 1), count)
         w = build_sheet(CellIncrements(incs, grid)).values
         at = np.stack([w[:, i, j, 0] for i, j in nodes], axis=1)
+        _check_finite(*at.T)
         return at, (w[0].copy() if start == 0 else None)
 
     chunk = min(SHEET_CHUNK, normal_grid_chunk(grid.n_s, grid.n_t, 1))
@@ -288,13 +292,67 @@ def sample_ou_corner(grid: Grid, seed: int, n_paths: int, workers: int = 1):
         spec = NoiseSpec(seed, start, 1)
         exact = sample_ou_exact_batch(grid, spec, count)[:, -1, -1, 0].copy()
         fld = _ou_field(grid, spec, count).values
-        return exact, fld[:, -1, -1, 0].copy(), (fld[0].copy() if start == 0 else None)
+        solved = fld[:, -1, -1, 0].copy()
+        _check_finite(exact, solved)
+        return exact, solved, (fld[0].copy() if start == 0 else None)
 
     # the exact sampler's n_t + 1 levels are the widest of the block's draws
     chunk = min(SHEET_CHUNK, normal_grid_chunk(grid.n_s, grid.n_t + 1, 1))
     parts = _map_blocks(block, n_paths, chunk, workers)
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]), parts[0][2])
+
+
+def _prob_outside_square(n, h):
+    """P(D >= h/n) for two samples of size n from one continuous law: the
+    exact two-sided Smirnov probability (Hodges 1958), as scipy's
+    `_compute_prob_outside_square` evaluates it, operation for operation.
+
+    2 * sum_k (-1)^(k-1) binom(2n, n - k*h) / binom(2n, n), with each term
+    divided by the one before and the sum folded in Horner form,
+    2 * A_0 * (1 - A_1 * (1 - A_2 * (1 - ...))), so nothing cancels.
+    """
+    P = 0.0
+    k = int(np.floor(n / h))
+    while k >= 0:
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        P = p1 * (1.0 - P)
+        k -= 1
+    return 2 * P
+
+
+def ks_two_sample(a, b):
+    """Two-sided two-sample Kolmogorov-Smirnov test of 1-D samples `a`, `b`:
+    (statistic, p-value), bit for bit `scipy.stats.ks_2samp(a, b)`.
+
+    Two samples of one size n <= KS_EXACT_MAX_N take scipy's exact path,
+    repeated here in the same float operations: the largest gap between the
+    two ECDFs, rounded to h/n, and `_prob_outside_square(n, h)`.  Unequal
+    sizes, a larger n, a NaN, and an exact value that rounds outside
+    [0, 1] (scipy then warns and uses its asymptotic law) are handed to
+    scipy, whose result comes back unchanged; only they import scipy.stats,
+    which costs about 1 s and 70 MiB in a fresh process.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    n = a.shape[0]
+    # np.sort puts any NaN last
+    if n == b.shape[0] and 0 < n <= KS_EXACT_MAX_N and not (np.isnan(a[-1]) or np.isnan(b[-1])):
+        both = np.concatenate([a, b])
+        cddiffs = (np.searchsorted(a, both, side="right") / n
+                   - np.searchsorted(b, both, side="right") / n)
+        h = int(np.round(np.max(np.abs(cddiffs)) * n))
+        if h == 0:
+            return 0.0, 1.0
+        p = _prob_outside_square(n, h)
+        if 0 <= p <= 1:
+            return h / n, p
+    from scipy.stats import ks_2samp
+
+    res = ks_2samp(a, b)
+    return float(res.statistic), float(res.pvalue)
 
 
 def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: int,

@@ -345,6 +345,28 @@ class TestRunCommands:
         assert "path=(7,)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_nonfinite_ou_sample_exits_3_naming_its_global_path(self, tmp_path, monkeypatch,
+                                                                capsys):
+        from sheetcalc import verify
+
+        draw = verify.sample_ou_exact_batch
+        starts = []
+
+        def nan_in_second_block(grid, noise, batch):
+            values = draw(grid, noise, batch)
+            if noise.path_index > 0:
+                starts.append(noise.path_index)
+                values[7] = np.nan
+            return values
+
+        monkeypatch.setattr(verify, "sample_ou_exact_batch", nan_in_second_block)
+        cfg = _cfg(tmp_path, **{"mc.n_paths": verify.SHEET_CHUNK + 100})
+        cfg["run"] = {"command": "sample-ou"}
+        assert run(_write(tmp_path, cfg), assert_thresholds=True) == 3
+        assert len(starts) == 1
+        assert f"path=({starts[0] + 7},)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_ibp_sums_exit_3_without_report(self, tmp_path, capsys):
         # every sample is finite (lhs about 1e242), but its square is not:
@@ -503,7 +525,9 @@ def _fresh(tmp_path, *args):
 
 
 class TestColdStart:
-    """scipy.stats costs about 1 s to import, and only sample-ou uses it."""
+    """scipy.stats costs about 1 s to import.  No command loads it but
+    sample-ou where its KS p-value is scipy's asymptotic one: above 10000
+    paths, or at a KS distance so small that the exact sum rounds above 1."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = _fresh(tmp_path, "-c", "import sys, sheetcalc, sheetcalc.cli; "
@@ -524,7 +548,9 @@ class TestColdStart:
         cfg = _cfg(tmp_path, **{"mc.n_paths": 3000})
         cfg["grid"] = {"n_s": 8, "n_t": 32, "ds": 0.125, "dt": 1.0 / 32}
         cfg["run"] = {"command": "sample-ou"}
-        out = _fresh(tmp_path, "-m", "sheetcalc.cli", "--config", _write(tmp_path, cfg),
-                     "--assert")
+        out = _fresh(tmp_path, "-c", "import sys; from sheetcalc import cli; "
+                     "print(cli.main(sys.argv[1:]), 'scipy.stats' in sys.modules)",
+                     "--config", _write(tmp_path, cfg), "--assert")
         assert out.returncode == 0, out.stderr
+        assert out.stdout == "0 False\n"
         assert json.loads((tmp_path / "out" / "report.json").read_text())["ks_pvalue"] >= 0.01

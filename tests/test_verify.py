@@ -31,6 +31,7 @@ from sheetcalc.verify import (
     FIELD_CHUNK,
     HYP_CHUNK,
     LINE_CHUNK,
+    SHEET_CHUNK,
     _run_paired,
     intercept_weights,
     run_bismut,
@@ -40,6 +41,7 @@ from sheetcalc.verify import (
     run_reversibility,
     sample_ou_corner,
 )
+from scipy.stats import ks_2samp
 
 GRID = Grid(32, 1, 1.0 / 32, 1.0)
 FIELD_GRID = Grid(32, 8, 1.0 / 32, 1.0 / 32)
@@ -264,6 +266,17 @@ class TestNonFiniteSamples:
         assert info.value.path == (16390,)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["sample_sheet_nodes", "sample_ou_corner"])
+    def test_whole_sheet_sampler_names_its_global_path(self, sampler, workers, monkeypatch):
+        # path SHEET_CHUNK + 7 is the 8th of the second block
+        poison_path(monkeypatch, Stream.CELLS, SHEET_CHUNK + 7)
+        grid = Grid(8, 8, 0.125, 0.125)
+        args = ([(8, 8)],) if sampler == "sample_sheet_nodes" else ()
+        with pytest.raises(NumericsError, match="non-finite per-path sample") as info:
+            getattr(verify, sampler)(grid, 3, SHEET_CHUNK + 100, *args, workers=workers)
+        assert info.value.path == (SHEET_CHUNK + 7,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_level_value_names_its_global_path(self, workers, monkeypatch):
         poison_path(monkeypatch, Stream.CELLS, 16390)
         with pytest.raises(NumericsError, match="non-finite per-path sample") as info:
@@ -446,7 +459,7 @@ class TestSweepWindow:
         finally:
             tracemalloc.stop()
         # about 117 MiB when the sweep wrote thirteen node-major fields; the
-        # block's cell increments and their draw take 16 MiB of this
+        # block's cell-increment draw peaks at about 18.6 MiB of this
         assert peak <= 40 * 2**20
 
     def test_whole_solve_peaks_no_higher_than_node_major_state(self):
@@ -464,3 +477,54 @@ class TestSweepWindow:
         # adds little to the outputs, and the undriven u* and v* are views
         # of zeros, not arrays
         assert peak <= 22.5 * 2**20
+
+
+def _ks_samples(n, kind):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    if kind == "identical":
+        return a, a.copy()
+    if kind == "ties":
+        return np.round(a, 1), np.round(b, 1)
+    if kind == "unequal":
+        return a, rng.standard_normal(n + 1)
+    return a, b + {"shift": 0.2, "far": 1.5}[kind]
+
+
+class TestKSTwoSample:
+    """`ks_two_sample` gives `scipy.stats.ks_2samp`'s bits, whether it
+    computes them (equal sizes up to KS_EXACT_MAX_N) or hands them to scipy."""
+
+    @pytest.mark.parametrize("kind", ["identical", "ties", "shift", "unequal"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 500, 1000, 1100, 3000, 10000, 10001])
+    def test_bits_match_scipy(self, n, kind):
+        a, b = _ks_samples(n, kind)
+        want = ks_2samp(a, b)
+        got = verify.ks_two_sample(a, b)
+        assert got == (want.statistic, want.pvalue)
+        if kind == "identical":
+            assert got == (0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [500, 3000, 10000])
+    def test_far_apart_samples(self, n):
+        a, b = _ks_samples(n, "far")
+        want = ks_2samp(a, b)
+        assert verify.ks_two_sample(a, b) == (want.statistic, want.pvalue)
+        assert want.pvalue < 1e-20
+
+    def test_exact_value_above_one_is_scipys_asymptotic_one(self):
+        # n = 5, D = 1/5: the exact sum rounds to 1.0000000000000002, so
+        # scipy warns and switches to its asymptotic law
+        a = np.arange(5.0)
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            want = ks_2samp(a, a + 0.5)
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            got = verify.ks_two_sample(a, a + 0.5)
+        assert got == (want.statistic, want.pvalue) and got[0] == 0.2
+
+    def test_nan_is_scipys_nan(self):
+        a = np.arange(10.0)
+        b = a + 0.5
+        b[3] = np.nan
+        stat, p = verify.ks_two_sample(a, b)
+        assert np.isnan(stat) and np.isnan(p)
