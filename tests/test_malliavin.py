@@ -44,6 +44,12 @@ def _linear_state(n_paths=2000, seed=1):
     return model, z, x, U, Uinv
 
 
+def _linear_line(n_paths, seed):
+    model = linear_1d()
+    z = _zline(128, n_paths, seed)
+    return model, z, compute_malliavin_line(model.vf, z, model.x0, DS)
+
+
 class TestPolynomialFields:
     def test_probe_passes_for_consistent_tables(self):
         vf = polynomial_fields(2, 1, [
@@ -146,13 +152,16 @@ class TestStateLine:
                 cbs[i] = counted(f"{kind}_{i}", cb)
         n = 16
         z = _zline(n, 4, 3, m=2)
-        x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / n)
+        solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / n)
         # hess X_0 is not needed by the state line
         assert calls == {f"{k}_{i}": n for k in ("X", "grad_X", "hess_X") for i in range(3)
                          if (k, i) != ("hess_X", 0)}
         calls.clear()
-        compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n)
-        assert max(calls.values()) == 1
+        compute_malliavin_line(vf, z, np.array([0.5, -0.5]), 1.0 / n)
+        # once per step; R's and L's midpoint weights also read X_1..X_m and
+        # hess X_1..X_m at the last node
+        assert calls == {"X_0": n, "grad_X_0": n, "grad_X_1": n, "grad_X_2": n, "hess_X_0": n,
+                         "X_1": n + 1, "X_2": n + 1, "hess_X_1": n + 1, "hess_X_2": n + 1}
 
     @pytest.mark.parametrize("batch, poisoned, path, cell", [
         # one batch axis: the lowest bad path is named, not the earliest step
@@ -275,8 +284,7 @@ class TestMatmul:
         names = ("x", "U", "U_inv", "C", "Gamma", "R", "L")
 
         def arrays(z_line):
-            x, U, Uinv = solve_state_line(vf, z_line, x0, 1.0 / 32)
-            st = compute_malliavin_line(vf, x, U, Uinv, z_line, 1.0 / 32)
+            st = compute_malliavin_line(vf, z_line, x0, 1.0 / 32)
             return [np.ascontiguousarray(getattr(st, name)) for name in names]
 
         batched = arrays(z)
@@ -285,28 +293,26 @@ class TestMatmul:
                 assert whole[p].tobytes() == single.tobytes(), (p, name)
 
 
-class TestLMemory:
-    def test_first_read_of_l_peaks_below_seven_line_arrays(self):
+class TestLineMemory:
+    def test_whole_line_peaks_at_nine_line_arrays(self):
         model = linear_1d()
         z = _zline(128, 4096, 13)
-        x, U, Uinv = solve_state_line(model.vf, z, model.x0, DS)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            st.L
+            st = compute_malliavin_line(model.vf, z, model.x0, DS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one line array is (paths, n+1, d) float64, the size of x and of L
-        assert (peak - start) / x.nbytes <= 7.0
+        # one line array is (paths, n+1, d) float64, the size of each of the
+        # seven outputs at d = 1; at most two more are transients
+        assert (peak - start) / st.x.nbytes <= 9.0
 
 
 class TestMalliavinObjects:
     def test_linear_model_closed_forms(self):
-        model, z, x, U, Uinv = _linear_state(4000, 5)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
-        x1, z1 = x[:, -1, 0], z[:, -1, 0]
+        model, z, st = _linear_line(4000, 5)
+        x1, z1 = st.x[:, -1, 0], z[:, -1, 0]
         gam_rel = np.mean(np.abs(st.Gamma[:, -1, 0, 0] - x1**2)) / np.mean(x1**2)
         assert gam_rel < 10.0 * DS**0.5  # scheme error, heavy-tail weighted
         l_exact = x1 * (1.0 - z1)
@@ -316,16 +322,14 @@ class TestMalliavinObjects:
         assert r_rms < 6.0 * DS**0.5
 
     def test_gamma_is_ucu_transpose_exactly(self):
-        model, z, x, U, Uinv = _linear_state(16, 6)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        _, _, st = _linear_line(16, 6)
         rebuilt = np.einsum("...ab,...bc,...dc->...ad", st.U, st.C, st.U)
         assert np.array_equal(st.Gamma, rebuilt)
 
     def test_zero_diffusion_all_objects_vanish(self):
         vf = polynomial_fields(1, 1, [[[(0.5, [1])]], [[]]])  # X0 = x/2, X1 = 0
         z = _zline(32, 4, 7)
-        x, U, Uinv = solve_state_line(vf, z, np.array([1.0]), 1.0 / 32)
-        st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32)
+        st = compute_malliavin_line(vf, z, np.array([1.0]), 1.0 / 32)
         assert np.all(st.C == 0.0) and np.all(st.Gamma == 0.0)
         assert np.all(st.R == 0.0) and np.all(st.L == 0.0)
 
@@ -337,20 +341,17 @@ class TestMalliavinObjects:
         ])
         n_paths = 1000
         z = _zline(64, n_paths, 8, m=2)
-        x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 64)
-        st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 64)
+        st = compute_malliavin_line(vf, z, np.array([0.5, -0.5]), 1.0 / 64)
         eigs = np.linalg.eigvalsh(st.Gamma[:, -1])
         assert eigs.min() >= -1e-10
 
     def test_uu_inv_drift_tracked(self):
-        model, z, x, U, Uinv = _linear_state(64, 9)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        _, _, st = _linear_line(64, 9)
         assert st.uu_inv_drift() < 0.5
 
     def test_fault_flip_changes_only_r_term(self):
-        model, z, x, U, Uinv = _linear_state(64, 10)
-        honest = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
-        flipped = compute_malliavin_line(model.vf, x, U, Uinv, z, DS, fault="flip-r-sign")
+        model, z, honest = _linear_line(64, 10)
+        flipped = compute_malliavin_line(model.vf, z, model.x0, DS, fault="flip-r-sign")
         # L + L_flipped = 2 U (bracket terms); for the linear model = 2 x * s-ish
         both = honest.L[:, -1, 0] + flipped.L[:, -1, 0]
         ur = np.einsum("...ab,...b->...a", honest.U[:, -1], honest.R[:, -1])[:, 0]
@@ -358,49 +359,45 @@ class TestMalliavinObjects:
         assert np.array_equal(honest.R, flipped.R)
 
     def test_unknown_fault_rejected(self):
-        model, z, x, U, Uinv = _linear_state(4, 11)
+        model, z = linear_1d(), _zline(128, 4, 11)
         with pytest.raises(ModelError):
-            compute_malliavin_line(model.vf, x, U, Uinv, z, DS, fault="no-such-fault")
+            compute_malliavin_line(model.vf, z, model.x0, DS, fault="no-such-fault")
 
     def test_ds_required_for_bare_arrays(self):
-        model, z, x, U, Uinv = _linear_state(4, 11)
+        model, z = linear_1d(), _zline(128, 4, 11)
         with pytest.raises(ShapeError, match="ds must be given"):
-            compute_malliavin_line(model.vf, x, U, Uinv, np.asarray(z))
+            compute_malliavin_line(model.vf, np.asarray(z), model.x0)
 
     def test_one_node_line(self):
         # no step: C, R and L stay at their zero start
         model = linear_1d()
         z = _zline(128, 4, 11)[..., :1, :]
-        x, U, Uinv = solve_state_line(model.vf, z, model.x0, DS)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        st = compute_malliavin_line(model.vf, z, model.x0, DS)
         assert st.C.shape == (4, 1, 1, 1) and not np.any(st.C)
         assert st.R.shape == (4, 1, 1) and not np.any(st.R)
         assert st.L.shape == (4, 1, 1) and not np.any(st.L)
 
     def test_wrong_driver_width(self):
-        model, z, x, U, Uinv = _linear_state(4, 11)
+        model, z = linear_1d(), _zline(128, 4, 11)
         with pytest.raises(ShapeError, match="model has m=1"):
-            compute_malliavin_line(model.vf, x, U, Uinv, np.concatenate([z, z], axis=-1), DS)
+            compute_malliavin_line(model.vf, np.concatenate([z, z], axis=-1), model.x0, DS)
 
 
 class TestApplyL:
     def test_constant_payoff_zero(self):
-        model, z, x, U, Uinv = _linear_state(32, 12)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        _, _, st = _linear_line(32, 12)
         out = apply_L(constant_payoff(3.0), st, 128)
         assert np.all(out == 0.0)
 
     def test_coordinate_payoff_gives_L(self):
-        model, z, x, U, Uinv = _linear_state(32, 13)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        _, _, st = _linear_line(32, 13)
         out = apply_L(coordinate_payoff(), st, 128)
         np.testing.assert_allclose(out, st.L[:, -1, 0], atol=1e-15)
 
     def test_square_payoff_identity(self):
-        model, z, x, U, Uinv = _linear_state(32, 14)
-        st = compute_malliavin_line(model.vf, x, U, Uinv, z, DS)
+        _, _, st = _linear_line(32, 14)
         out = apply_L(square_payoff(), st, 128)
-        expect = 2.0 * x[:, -1, 0] * st.L[:, -1, 0] + 2.0 * st.Gamma[:, -1, 0, 0]
+        expect = 2.0 * st.x[:, -1, 0] * st.L[:, -1, 0] + 2.0 * st.Gamma[:, -1, 0, 0]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
 
@@ -422,9 +419,8 @@ class TestStationarityAndQV:
         grid, (z0, zT) = self._field_lines(n_paths, 15, [0, 8])
         outs = []
         for zl in (z0, zT):
-            x, U, Uinv = solve_state_line(model.vf, zl, model.x0, grid.ds)
-            st = compute_malliavin_line(model.vf, x, U, Uinv, zl, grid.ds)
-            outs.append((x[:, -1, 0], st.Gamma[:, -1, 0, 0], st.L[:, -1, 0]))
+            st = compute_malliavin_line(model.vf, zl, model.x0, grid.ds)
+            outs.append((st.x[:, -1, 0], st.Gamma[:, -1, 0, 0], st.L[:, -1, 0]))
         for k, name in enumerate(("x", "Gamma", "L")):
             a, b = outs[0][k], outs[1][k]
             se = np.sqrt(a.var(ddof=1) / n_paths + b.var(ddof=1) / n_paths)
@@ -436,9 +432,9 @@ class TestStationarityAndQV:
         n_paths = 30000
         grid, (z0, z1) = self._field_lines(n_paths, 16, [0, 1], n_t=1)
         dt = grid.dt
-        x0l, U, Uinv = solve_state_line(model.vf, z0, model.x0, grid.ds)
+        st = compute_malliavin_line(model.vf, z0, model.x0, grid.ds)
+        x0l = st.x
         x1l, _, _ = solve_state_line(model.vf, z1, model.x0, grid.ds)
-        st = compute_malliavin_line(model.vf, x0l, U, Uinv, z0, grid.ds)
         dx = x1l[:, -1, 0] - x0l[:, -1, 0]
         qv = dx * dx / dt
         se = qv.std(ddof=1) / np.sqrt(n_paths)

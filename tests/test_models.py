@@ -7,9 +7,11 @@ multi-term tables at d = 2 and d = 3 (repeated monomials in one component,
 zero coefficients, powers >= 3, constants), of f, grad f and hess f for the
 payoff presets, and of every `MalliavinState` array of a d = 2, m = 2 line
 in five line shapes (one batch axis, none, two, a batch that comes from x0
-alone, a batched driver with x0 of shape (1, d)) and of a d = 3, m = 1 line.
+alone, a batched driver with x0 of shape (1, d)) and of a d = 3, m = 1 line,
+all seven recorded at every node by one `compute_malliavin_line` pass.
 `fold_line`, which keeps only a line's last node, must give that node of
-every one of these lines bit for bit.  A pin changes only on purpose;
+every one of these lines bit for bit, and node k of each line is the last
+node of the line cut at k.  A pin changes only on purpose;
 regenerate the file with
 
     PYTHONPATH=src python tests/test_models.py --update
@@ -27,7 +29,7 @@ import pytest
 
 from sheetcalc.lattice import NoiseSpec, sample_boundary_bm
 from sheetcalc.errors import ModelError
-from sheetcalc.malliavin import compute_malliavin_line, fold_line, solve_state_line
+from sheetcalc.malliavin import compute_malliavin_line, fold_line
 from sheetcalc.models import (
     constant_payoff,
     coordinate_payoff,
@@ -115,10 +117,9 @@ def _line(m, batch=None, n=32):
 
 
 def _state_digests(vf, z, x0):
-    """Digests of every MalliavinState array of one line, L read last."""
+    """Digests of every MalliavinState array of one line."""
     n = z.shape[-2] - 1
-    x, U, Uinv = solve_state_line(vf, z, np.asarray(x0, dtype=np.float64), 1.0 / n)
-    st = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n)
+    st = compute_malliavin_line(vf, z, np.asarray(x0, dtype=np.float64), 1.0 / n)
     return {name: _digest(getattr(st, name))
             for name in ("x", "U", "U_inv", "C", "Gamma", "R", "L")}
 
@@ -154,43 +155,13 @@ class TestModelPins:
 
 
 class TestLazyL:
-    """L and the grad X / hess X callbacks only it needs run on its first read."""
-
-    @staticmethod
-    def _counted_line(calls, fault=None):
-        vf = _acceptance_model()
-        for kind in ("X", "grad_X", "hess_X"):
-            cbs = getattr(vf, kind)
-            for i, cb in enumerate(cbs):
-                def wrapped(x, _cb=cb, _name=f"{kind}_{i}"):
-                    calls[_name] = calls.get(_name, 0) + 1
-                    return _cb(x)
-                cbs[i] = wrapped
-        z = _line(2, batch=16)
-        x, U, Uinv = solve_state_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
-        calls.clear()
-        return compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / 32, fault=fault)
-
-    def test_bismut_reads_call_no_l_callback(self):
-        calls = {}
-        st = self._counted_line(calls)
-        st.U, st.C, st.R, st.Gamma
-        assert calls == {"X_1": 1, "X_2": 1}
-
-    def test_first_read_of_l_calls_each_callback_once(self):
-        calls = {}
-        st = self._counted_line(calls)
-        calls.clear()
-        first = st.L
-        assert calls == {"grad_X_1": 1, "grad_X_2": 1,
-                         "hess_X_0": 1, "hess_X_1": 1, "hess_X_2": 1}
-        calls.clear()
-        assert st.L is first and calls == {}
-        assert _digest(first) == json.loads(PINS.read_text())["malliavin-d2m2"]["L"]
+    """A fault in L changes L alone: the other six objects of the one pass
+    keep their bits."""
 
     def test_flip_r_sign_changes_only_l(self):
-        honest = self._counted_line({})
-        flipped = self._counted_line({}, fault="flip-r-sign")
+        vf, z, x0 = LINE_CASES["malliavin-d2m2"]()
+        honest = compute_malliavin_line(vf, z, x0, 1.0 / 32)
+        flipped = compute_malliavin_line(vf, z, x0, 1.0 / 32, fault="flip-r-sign")
         for name in ("x", "U", "U_inv", "C", "Gamma", "R"):
             assert np.array_equal(getattr(honest, name), getattr(flipped, name))
         assert not np.array_equal(honest.L, flipped.L)
@@ -202,7 +173,8 @@ _OBJECTS = (("x", 1), ("U", 2), ("U_inv", 2), ("C", 2), ("Gamma", 2), ("R", 1), 
 
 
 class TestFoldLine:
-    """`fold_line` keeps a line's last node only, bit for bit."""
+    """`fold_line` keeps a line's last node only, bit for bit, and node k of a
+    whole line is the last node of that line cut at k."""
 
     @pytest.mark.parametrize("case", sorted(LINE_CASES))
     @pytest.mark.parametrize("reads, fault", [
@@ -217,8 +189,7 @@ class TestFoldLine:
         vf, z, x0 = LINE_CASES[case]()
         x0 = np.asarray(x0, dtype=np.float64)
         n = z.shape[-2] - 1
-        x, U, Uinv = solve_state_line(vf, z, x0, 1.0 / n)
-        whole = compute_malliavin_line(vf, x, U, Uinv, z, 1.0 / n, fault=fault)
+        whole = compute_malliavin_line(vf, z, x0, 1.0 / n, fault=fault)
         end = fold_line(vf, z, x0, 1.0 / n, reads=reads, fault=fault)
         for name, axes in _OBJECTS:
             if name not in reads:
@@ -228,6 +199,20 @@ class TestFoldLine:
             assert got.shape == last.shape and got.tobytes() == last.tobytes(), name
         if "x" in reads and len(reads) == 1:
             assert end.U is None and end.C is None
+
+    @pytest.mark.parametrize("case", sorted(LINE_CASES))
+    def test_every_node_is_the_last_node_of_the_line_cut_there(self, case):
+        vf, z, x0 = LINE_CASES[case]()
+        x0 = np.asarray(x0, dtype=np.float64)
+        n = z.shape[-2] - 1
+        whole = compute_malliavin_line(vf, z, x0, 1.0 / n)
+        reads = tuple(name for name, _ in _OBJECTS)
+        for k in (0, 1, n // 2, n):
+            end = fold_line(vf, z[..., :k + 1, :], x0, 1.0 / n, reads=reads)
+            for name, axes in _OBJECTS:
+                node = getattr(whole, name)[(..., slice(k, k + 1)) + (slice(None),) * axes]
+                got = getattr(end, name)
+                assert got.shape == node.shape and got.tobytes() == node.tobytes(), (k, name)
 
     def test_state_only_line_calls_no_hessian(self):
         calls = {}

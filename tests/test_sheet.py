@@ -113,17 +113,6 @@ class TestOUExact:
         v = incs.var(ddof=1, axis=0)
         assert np.all(np.abs(v - 0.125) <= 5.0 * 0.125 * np.sqrt(2.0 / n))
 
-    def test_s_extent_override(self):
-        from sheetcalc.sheet import sample_ou_exact
-
-        grid = Grid(8, 4, 0.125, 0.25)
-        fld = sample_ou_exact(grid, NoiseSpec(seed=8, m=1), s_extent=0.5)
-        assert fld.values.shape == (5, 5, 1)  # 4 s-steps instead of 8
-        full = sample_ou_exact(grid, NoiseSpec(seed=8, m=1))
-        assert np.array_equal(fld.values, full.values[:5])
-        with pytest.raises(ConfigurationError):
-            sample_ou_exact(grid, NoiseSpec(seed=8, m=1), s_extent=0.3)
-
 
 class TestOUHyperbolic:
     def test_zero_noise_zero_boundary(self):

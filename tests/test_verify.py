@@ -233,7 +233,6 @@ class TestNonFiniteSamples:
             _run_paired(sample, 4000, 1000, workers)
         assert info.value.path == (2500,)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_square_names_its_block(self, workers):
         # path 2500's square overflows: the error names its block's first path
@@ -245,7 +244,6 @@ class TestNonFiniteSamples:
             _run_paired(sample, 4000, 1000, workers)
         assert info.value.path == (2000,)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_across_blocks_names_the_block(self, workers):
         # each block's sum of squares is finite (9.8e307), two of them are not
