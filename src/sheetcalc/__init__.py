@@ -23,19 +23,15 @@ from .lattice import (
     NoiseSpec,
     Stream,
     sample_boundary_bm,
-    sample_cell_increments,
 )
 from .sheet import (
     SheetField,
     build_sheet,
-    extract_cell_increments,
-    sample_ou_exact,
     solve_ou_hyperbolic,
 )
 from .stochcalc import (
     IntegralKind,
     LineProcess,
-    bdg_moment_check,
     check_mixed_annihilation,
     integral_two_param,
     integral_zeta1,

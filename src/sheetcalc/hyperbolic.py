@@ -90,13 +90,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, ModelError, NumericsError, ShapeError
-from .lattice import BoundaryPath, CellIncrements, Grid, Stream, cumsum0, normal_grid
+from .lattice import BoundaryPath, CellIncrements, Grid, Stream, normal_grid
 from .malliavin import _matmul
 
 NORM_CONVENTION = "frobenius-of-concatenated-(u,u_inv,v,v_inv)"
 
 _SYM_RTOL = 1e-10
-_TRANSPOSE_RTOL = 1e-8
 
 
 @dataclass
@@ -223,10 +222,6 @@ class BlowupSummary:
     max_m: np.ndarray
     frontier: np.ndarray
 
-    @property
-    def frontier_is_empty(self) -> bool:
-        return not bool(np.any(self.frontier))
-
 
 def _sum_squares(a):
     """np.sum(a * a, axis=(-2, -1)) over square (d, d) matrices, bit for bit.
@@ -264,7 +259,6 @@ def solve_system(
     grid: Grid,
     incs: CellIncrements,
     blowup_M: float = np.inf,
-    check_transpose: bool = False,
     keep_p: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> "HyperbolicSolution | np.ndarray":
     """Explicit anti-diagonal sweep of the full system with companions.
@@ -272,29 +266,16 @@ def solve_system(
     All boundary/increment arrays may carry leading batch axes (paths).
     Without keep_p the result is the whole `HyperbolicSolution`.  keep_p
     names nodes (i, j); then only p at those nodes is kept and returned, an
-    array (*batch, len(keep_p), n) in the order given.  check_transpose
-    reconstructs the field from the stored t-increments (the transposed
-    association) and asserts agreement; it needs the whole solution.
+    array (*batch, len(keep_p), n) in the order given.
     Raises NumericsError on a non-finite value at an in-domain node.
     """
     if keep_p is not None:
-        if check_transpose:
-            raise ConfigurationError("check_transpose needs the whole solution, not keep_p")
         S, T = grid.n_s, grid.n_t
         keep_p = [(int(i), int(j)) for i, j in keep_p]
         if not all(0 <= i <= S and 0 <= j <= T for i, j in keep_p):
             raise ShapeError(f"keep_p names a node outside the {S} x {T} grid: {keep_p}")
         return _sweep(coeffs, boundaries, grid, incs, blowup_M, lambda ctx: _KeptP(ctx, keep_p))
-    sol = _sweep(coeffs, boundaries, grid, incs, blowup_M, _Fields)
-    if check_transpose:
-        recon = sol.x[..., :, 0:1, :] + cumsum0(sol.dt_x, axis=-2)
-        err = np.max(np.abs(np.where(sol.domain_mask[..., None], sol.x - recon, 0.0)))
-        scale = max(1.0, float(np.max(np.abs(np.where(sol.domain_mask[..., None], sol.x, 0.0)))))
-        if err > _TRANSPOSE_RTOL * scale:
-            raise NumericsError(
-                f"transposed association disagrees with the sweep: max err {err:.3e}"
-            )
-    return sol
+    return _sweep(coeffs, boundaries, grid, incs, blowup_M, _Fields)
 
 
 def _sweep(coeffs, boundaries, grid, incs, blowup_M, recorder):

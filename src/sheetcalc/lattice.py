@@ -149,14 +149,6 @@ class LineProcess:
             v = v[:, None]
         return cls(v, step)
 
-    @classmethod
-    def zero(cls, n: int, step: float, dim: int, batch: tuple = ()):
-        return cls(np.zeros(batch + (n + 1, dim)), step)
-
-    @classmethod
-    def deterministic(cls, values: np.ndarray, step: float):
-        return cls(np.asarray(values, dtype=np.float64), step)
-
 
 #: The boundary-data name of the one line type.
 BoundaryPath = LineProcess
@@ -231,14 +223,9 @@ def path_slices(fn, count, size):
     return out
 
 
-def sample_cell_increments(grid: Grid, noise: NoiseSpec) -> CellIncrements:
-    """Double increments over every cell: independent N(0, ds*dt) entries."""
-    values = sample_cell_increments_batch(grid, noise, batch=None)
-    return CellIncrements(values, grid)
-
-
 def sample_cell_increments_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndarray:
-    """Cell increments for paths noise.path_index .. +batch-1, stacked on axis 0.
+    """Double increments over every cell, independent N(0, ds*dt) entries,
+    for paths noise.path_index .. +batch-1, stacked on axis 0.
 
     batch=None gives the single path noise.path_index with no batch axis.
     """

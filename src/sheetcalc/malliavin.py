@@ -162,7 +162,8 @@ class MalliavinState:
     From `compute_malliavin_line`, every node: the arrays are batch-first
     views over step-major storage (the s-index outermost in memory), so with
     a batch axis they are not contiguous.  From `fold_line`, the last node
-    only (n+1 read as 1), and an array the pass did not form is None.
+    only (n+1 read as 1), and an array the pass did not form is None; a
+    reader that needs one raises ModelError naming it.
     """
 
     x: np.ndarray       # (..., n+1, d)
@@ -174,8 +175,19 @@ class MalliavinState:
     L: np.ndarray       # (..., n+1, d)
     ds: float
 
+    def _require(self, reader: str, *names):
+        """Raise ModelError if any line object in `names`, which `reader`
+        reads, was not formed: the `reads` entry of that name forms it."""
+        missing = [name for name in names if getattr(self, name) is None]
+        if missing:
+            raise ModelError(
+                f"{reader} reads {', '.join(missing)}, which this line state did not "
+                f"form; pass {', '.join(map(repr, missing))} in fold_line's reads"
+            )
+
     def uu_inv_drift(self) -> float:
         """Max |U U^{-1} - I|: tracked scheme error of the inverse recursion."""
+        self._require("uu_inv_drift", "U", "U_inv")
         eye = np.eye(self.U.shape[-1])
         return float(np.max(np.abs(_matmul(self.U, self.U_inv) - eye)))
 
@@ -465,6 +477,7 @@ def compute_malliavin_line(vf: VectorFieldSet, z_line, x0, ds: float = None,
 
 def apply_L(payoff: Payoff, state: MalliavinState, s_index: int) -> np.ndarray:
     """The operator value L^i d_i g + Gamma^{ij} d_i d_j g at one node."""
+    state._require("apply_L", "x", "L", "Gamma")
     xk = state.x[..., s_index, :]
     term1 = np.einsum("...a,...a->...", state.L[..., s_index, :], payoff.grad_f(xk))
     term2 = np.einsum("...ab,...ab->...", state.Gamma[..., s_index, :, :], payoff.hess_f(xk))

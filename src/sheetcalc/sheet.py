@@ -1,8 +1,9 @@
 """Brownian sheet and Ornstein-Uhlenbeck sheet on the lattice.
 
-Two independent OU constructions live here on purpose: `sample_ou_exact`
-draws from the target Gaussian law (s ^ s') * exp(-|t-t'|/2) directly via a
-t-direction autoregression and serves as the oracle, while
+Two independent OU constructions live here on purpose:
+`sample_ou_exact_batch` draws from the target Gaussian law
+(s ^ s') * exp(-|t-t'|/2) directly via a t-direction autoregression and
+serves as the oracle, while
 `solve_ou_hyperbolic` integrates the hyperbolic equation
 
     d_s d_t z = d_s d_t w - (1/2) d_s z dt,   z_{0t} = 0, z_{s0} given,
@@ -50,25 +51,16 @@ def build_sheet(incs: CellIncrements) -> SheetField:
     return SheetField(out, grid)
 
 
-def extract_cell_increments(field: SheetField) -> CellIncrements:
-    """Per-cell double increments of a node field (inverse of build_sheet)."""
-    dd = np.diff(np.diff(field.values, axis=-3), axis=-2)
-    return CellIncrements(dd, field.grid)
-
-
-def sample_ou_exact(grid: Grid, noise: NoiseSpec) -> SheetField:
-    """Gaussian field with covariance (s ^ s') e^{-|t-t'|/2}, sampled exactly.
+def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndarray:
+    """Gaussian field values with covariance (s ^ s') e^{-|t-t'|/2}, sampled
+    exactly, for paths noise.path_index .. +batch-1 stacked on axis 0
+    (batch=None: the one path noise.path_index, no batch axis).
 
     The t=0 line is a Brownian motion in s; each later line is the
     autoregression z_{.,t+dt} = e^{-dt/2} z_{.,t} + sqrt(1-e^{-dt}) B with a
     fresh independent Brownian motion B, which reproduces the covariance at
     every pair of lattice nodes with no discretization error.
     """
-    values = sample_ou_exact_batch(grid, noise, batch=None)
-    return SheetField(values, grid)
-
-
-def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndarray:
     paths = noise.path_index if batch is None else noise.path_index + np.arange(batch)
     z = normal_grid(noise.seed, paths, Stream.OU_LEVELS, grid.n_s, grid.n_t + 1, noise.m)
     line_incs = z * np.sqrt(grid.ds)

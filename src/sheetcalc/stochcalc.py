@@ -24,11 +24,6 @@ from .errors import ConfigurationError, ShapeError
 from .lattice import LineProcess, cumsum0
 from .sheet import SheetField
 
-#: Moment bound constants: E|int a dw|^alpha <= C(alpha) E|int a^2|^(alpha/2).
-#: alpha=2 is the isometry (sharp); alpha=4 is a crude Ito+Doob bound.
-BDG_CONSTANTS = {2.0: 1.0, 4.0: 208.0}
-
-
 class IntegralKind(Enum):
     ZETA1 = 1
     ZETA2 = 2
@@ -36,15 +31,6 @@ class IntegralKind(Enum):
     ZETA4 = 4
     ZETA5 = 5
     ZETA6 = 6
-
-
-def t_line(field: SheetField, j: int) -> LineProcess:
-    """The s-varying line at fixed t = j*dt."""
-    return LineProcess(field.values[..., :, j, :], field.grid.ds)
-
-
-def s_line(field: SheetField, i: int) -> LineProcess:
-    return LineProcess(field.values[..., i, :, :], field.grid.dt)
 
 
 def field_component(field: SheetField, c: int) -> SheetField:
@@ -195,15 +181,3 @@ def bdg_moments(mart, qv, alpha: float):
     lhs = float(np.mean(np.abs(mart) ** alpha))
     rhs = float(np.mean(np.abs(qv) ** (alpha / 2.0)))
     return lhs, rhs
-
-
-def bdg_moment_check(a: SheetField, incs, alpha: float, component: int = 0):
-    """MC estimates (E|II a ddw|^alpha, E|II a^2 ds dt|^(alpha/2)).
-
-    Expects batched operands (leading path axes); means run over them.
-    The first should not exceed BDG_CONSTANTS[alpha] times the second when
-    the constant is tabulated.  The per-path sums are `bdg_martingale` and
-    `bdg_quadratic_variation`, so a caller may form them path slice by path
-    slice and pass them to `bdg_moments`.
-    """
-    return bdg_moments(bdg_martingale(a, incs, component), bdg_quadratic_variation(a), alpha)

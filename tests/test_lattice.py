@@ -13,7 +13,6 @@ from sheetcalc.lattice import (
     boundary_increments,
     normal_grid,
     sample_boundary_bm,
-    sample_cell_increments,
     sample_cell_increments_batch,
 )
 
@@ -47,9 +46,9 @@ class TestCellIncrements:
     def test_determinism_bit_identical(self):
         grid = Grid(2, 2, 0.5, 0.5)
         noise = NoiseSpec(seed=7, path_index=0, m=1)
-        a = sample_cell_increments(grid, noise)
-        b = sample_cell_increments(grid, noise)
-        assert np.array_equal(a.values, b.values)
+        a = sample_cell_increments_batch(grid, noise, None)
+        b = sample_cell_increments_batch(grid, noise, None)
+        assert np.array_equal(a, b)
 
     def test_zero_step_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -82,9 +81,9 @@ class TestCellIncrements:
 
     def test_grid_enlargement_extends_rather_than_reshuffles(self):
         noise = NoiseSpec(seed=5, m=2)
-        small = sample_cell_increments(Grid(4, 4, 0.25, 0.25), noise)
-        large = sample_cell_increments(Grid(8, 8, 0.25, 0.25), noise)
-        assert np.array_equal(small.values, large.values[:4, :4, :])
+        small = sample_cell_increments_batch(Grid(4, 4, 0.25, 0.25), noise, None)
+        large = sample_cell_increments_batch(Grid(8, 8, 0.25, 0.25), noise, None)
+        assert np.array_equal(small, large[:4, :4, :])
 
 
 class TestBoundaryPath:
@@ -115,11 +114,11 @@ class TestIndependencePartition:
         grid = Grid(4, 4, 0.25, 0.25)
         noise = NoiseSpec(seed=11, m=1)
         b_first = sample_boundary_bm(4, 0.25, 1, noise)
-        cells = sample_cell_increments(grid, noise)
+        cells = sample_cell_increments_batch(grid, noise, None)
         b_second = sample_boundary_bm(4, 0.25, 1, noise)
         assert np.array_equal(b_first.values, b_second.values)
-        cells_again = sample_cell_increments(grid, noise)
-        assert np.array_equal(cells.values, cells_again.values)
+        cells_again = sample_cell_increments_batch(grid, noise, None)
+        assert np.array_equal(cells, cells_again)
 
     def test_streams_disjoint(self):
         z_cells = normal_grid(3, 0, Stream.CELLS, 4, 4, 1)

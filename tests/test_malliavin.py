@@ -15,6 +15,7 @@ from sheetcalc.malliavin import (
     _matmul,
     apply_L,
     compute_malliavin_line,
+    fold_line,
     solve_state_line,
 )
 from sheetcalc.models import (
@@ -399,6 +400,24 @@ class TestApplyL:
         out = apply_L(square_payoff(), st, 128)
         expect = 2.0 * st.x[:, -1, 0] * st.L[:, -1, 0] + 2.0 * st.Gamma[:, -1, 0, 0]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
+
+
+class TestMissingObjects:
+    """A reader of a `fold_line` state that lacks an object it reads names
+    the object and the `reads` entry that forms it."""
+
+    def test_apply_L_without_L(self):
+        model = linear_1d()
+        st = fold_line(model.vf, _zline(8, 4, 15), model.x0, 1.0 / 8, reads=("Gamma",))
+        with pytest.raises(ModelError, match=r"apply_L reads L, .*; pass 'L' in fold_line's reads$"):
+            apply_L(square_payoff(), st, 0)
+
+    def test_uu_inv_drift_without_the_flow(self):
+        model = linear_1d()
+        st = fold_line(model.vf, _zline(8, 4, 16), model.x0, 1.0 / 8)
+        with pytest.raises(ModelError,
+                           match=r"uu_inv_drift reads U, U_inv, .*; pass 'U', 'U_inv' in"):
+            st.uu_inv_drift()
 
 
 class TestStationarityAndQV:

@@ -11,12 +11,10 @@ from sheetcalc.lattice import (
     Grid,
     NoiseSpec,
     sample_boundary_bm,
-    sample_cell_increments,
     sample_cell_increments_batch,
 )
 from sheetcalc.sheet import (
     build_sheet,
-    extract_cell_increments,
     sample_ou_exact_batch,
     solve_ou_hyperbolic,
 )
@@ -25,6 +23,14 @@ from sheetcalc.stochcalc import quantize_values
 
 def _grid44():
     return Grid(4, 4, 0.25, 0.25)
+
+
+def _one_path_incs(grid, noise):
+    return CellIncrements(sample_cell_increments_batch(grid, noise, None), grid)
+
+
+def _double_increments(values):
+    return np.diff(np.diff(values, axis=-3), axis=-2)
 
 
 class TestBuildSheet:
@@ -43,7 +49,7 @@ class TestBuildSheet:
 
     def test_zero_on_axes(self):
         grid = _grid44()
-        incs = sample_cell_increments(grid, NoiseSpec(seed=1, m=2))
+        incs = _one_path_incs(grid, NoiseSpec(seed=1, m=2))
         w = build_sheet(incs).values
         assert np.all(w[0, :, :] == 0.0) and np.all(w[:, 0, :] == 0.0)
 
@@ -59,20 +65,20 @@ class TestBuildSheet:
 
     def test_roundtrip_bit_exact_on_quantized(self):
         grid = _grid44()
-        raw = sample_cell_increments(grid, NoiseSpec(seed=3, m=2))
+        raw = _one_path_incs(grid, NoiseSpec(seed=3, m=2))
         q = CellIncrements(quantize_values(raw.values, 2.0**-20), grid)
-        back = extract_cell_increments(build_sheet(q))
-        assert np.array_equal(back.values, q.values)
+        back = _double_increments(build_sheet(q).values)
+        assert np.array_equal(back, q.values)
 
     def test_roundtrip_close_on_floats(self):
         grid = _grid44()
-        incs = sample_cell_increments(grid, NoiseSpec(seed=3, m=2))
-        back = extract_cell_increments(build_sheet(incs))
-        np.testing.assert_allclose(back.values, incs.values, rtol=0, atol=1e-12)
+        incs = _one_path_incs(grid, NoiseSpec(seed=3, m=2))
+        back = _double_increments(build_sheet(incs).values)
+        np.testing.assert_allclose(back, incs.values, rtol=0, atol=1e-12)
 
     def test_dyadic_scaling_exact(self):
         grid = _grid44()
-        incs = sample_cell_increments(grid, NoiseSpec(seed=4, m=1))
+        incs = _one_path_incs(grid, NoiseSpec(seed=4, m=1))
         w1 = build_sheet(incs).values
         w2 = build_sheet(CellIncrements(4.0 * incs.values, grid)).values
         assert np.array_equal(4.0 * w1, w2)
@@ -118,7 +124,7 @@ class TestOUHyperbolic:
     def test_zero_noise_zero_boundary(self):
         grid = _grid44()
         incs = CellIncrements(np.zeros((4, 4, 1)), grid)
-        zb = BoundaryPath.zero(4, 0.25, 1)
+        zb = BoundaryPath(np.zeros((5, 1)), 0.25)
         assert np.all(solve_ou_hyperbolic(grid, zb, incs).values == 0.0)
 
     def test_zero_noise_decay_oracle(self):
@@ -127,7 +133,7 @@ class TestOUHyperbolic:
         grid = Grid(4, 16, 0.25, 0.125)
         incs = CellIncrements(np.zeros((4, 16, 1)), grid)
         c = np.sin(grid.s_nodes())[:, None]
-        zb = BoundaryPath.deterministic(c, 0.25)
+        zb = BoundaryPath.from_values(c, 0.25)
         fld = solve_ou_hyperbolic(grid, zb, incs).values[..., 0]
         for j in (1, 8, 16):
             np.testing.assert_allclose(
@@ -139,7 +145,7 @@ class TestOUHyperbolic:
         for n_t in (32, 64):
             grid = Grid(2, n_t, 0.5, 1.0 / n_t)
             incs = CellIncrements(np.zeros((2, n_t, 1)), grid)
-            zb = BoundaryPath.deterministic(np.array([[0.0], [1.0], [2.0]]), 0.5)
+            zb = BoundaryPath.from_values(np.array([[0.0], [1.0], [2.0]]), 0.5)
             fld = solve_ou_hyperbolic(grid, zb, incs).values[..., 0]
             errs.append(abs(fld[2, n_t] - 2.0 * np.exp(-0.5)))
         assert errs[1] < 0.7 * errs[0]
@@ -147,7 +153,7 @@ class TestOUHyperbolic:
     def test_corner_must_vanish(self):
         grid = _grid44()
         incs = CellIncrements(np.zeros((4, 4, 1)), grid)
-        zb = BoundaryPath.deterministic(np.ones((5, 1)), 0.25)
+        zb = BoundaryPath.from_values(np.ones((5, 1)), 0.25)
         with pytest.raises(ConfigurationError):
             solve_ou_hyperbolic(grid, zb, incs)
 

@@ -14,10 +14,11 @@ from sheetcalc.lattice import (
 )
 from sheetcalc.sheet import SheetField, build_sheet
 from sheetcalc.stochcalc import (
-    BDG_CONSTANTS,
     IntegralKind,
     LineProcess,
-    bdg_moment_check,
+    bdg_martingale,
+    bdg_moments,
+    bdg_quadratic_variation,
     cell_terms,
     check_mixed_annihilation,
     field_component,
@@ -26,9 +27,11 @@ from sheetcalc.stochcalc import (
     integral_zeta2,
     prefix2d,
     quantize_values,
-    s_line,
-    t_line,
 )
+
+#: Moment bound constants: E|int a dw|^alpha <= C(alpha) E|int a^2|^(alpha/2).
+#: alpha=2 is the isometry (sharp); alpha=4 is a crude Ito+Doob bound.
+BDG_CONSTANTS = {2.0: 1.0, 4.0: 208.0}
 
 
 def _brownian_lines(n, step, n_paths, seed):
@@ -37,6 +40,11 @@ def _brownian_lines(n, step, n_paths, seed):
 
 def _lp(values, step=1.0 / 256):
     return LineProcess.from_values(values, step)
+
+
+def _bdg(a, incs, alpha):
+    """MC estimates (E|II a ddw|^alpha, E|II a^2 ds dt|^(alpha/2))."""
+    return bdg_moments(bdg_martingale(a, incs), bdg_quadratic_variation(a), alpha)
 
 
 class TestZeta1:
@@ -241,7 +249,7 @@ class TestBDG:
             sample_cell_increments_batch(grid, NoiseSpec(15, 0, 1), n_paths), grid
         )
         ones = SheetField(np.ones((9, 9, 1)), grid)
-        lhs, rhs = bdg_moment_check(ones, incs, 2.0)
+        lhs, rhs = _bdg(ones, incs, 2.0)
         assert lhs <= rhs * (1.0 + 4.0 * np.sqrt(2.0 / n_paths))
         assert abs(rhs - 1.0) < 1e-12
 
@@ -251,7 +259,7 @@ class TestBDG:
             sample_cell_increments_batch(grid, NoiseSpec(16, 0, 1), 100), grid
         )
         zeros = SheetField(np.zeros((100, 5, 5, 1)), grid)
-        assert bdg_moment_check(zeros, incs, 2.0) == (0.0, 0.0)
+        assert _bdg(zeros, incs, 2.0) == (0.0, 0.0)
 
     def test_sheet_integrand_fourth_moment_bounded(self):
         grid = Grid(8, 8, 0.125, 0.125)
@@ -259,14 +267,14 @@ class TestBDG:
         noise = NoiseSpec(17, 0, 1)
         vals = sample_cell_increments_batch(grid, noise, n_paths)
         w = build_sheet(CellIncrements(vals, grid))
-        lhs, rhs = bdg_moment_check(w, CellIncrements(vals, grid), 4.0)
+        lhs, rhs = _bdg(w, CellIncrements(vals, grid), 4.0)
         assert 0.0 < lhs <= BDG_CONSTANTS[4.0] * rhs
 
     def test_alpha_below_two_rejected(self):
         grid = Grid(2, 2, 0.5, 0.5)
         incs = CellIncrements(np.zeros((2, 2, 1)), grid)
         with pytest.raises(ConfigurationError):
-            bdg_moment_check(SheetField(np.ones((3, 3, 1)), grid), incs, 1.0)
+            _bdg(SheetField(np.ones((3, 3, 1)), grid), incs, 1.0)
 
 
 class TestBridgeAndChainRule:
@@ -302,15 +310,3 @@ class TestBridgeAndChainRule:
             orders.append(np.sqrt(np.mean(resid**2)))
         fitted = np.log(orders[0] / orders[1]) / np.log(4.0)
         assert 0.8 <= fitted <= 1.2
-
-
-class TestLineExtraction:
-    def test_lines_from_field(self):
-        grid = Grid(4, 6, 0.25, 0.5)
-        vals = sample_cell_increments_batch(grid, NoiseSpec(20, 0, 1), 2)
-        w = build_sheet(CellIncrements(vals, grid))
-        row = t_line(w, 3)
-        col = s_line(w, 2)
-        assert row.values.shape == (2, 5, 1) and row.step == 0.25
-        assert col.values.shape == (2, 7, 1) and col.step == 0.5
-        assert np.array_equal(row.values[:, 2, :], col.values[:, 3, :])
