@@ -16,10 +16,10 @@ from .errors import (
     SheetcalcError,
 )
 from .lattice import (
-    BoundaryPath,
     CellIncrements,
     Channel,
     Grid,
+    LineProcess,
     NoiseSpec,
     Stream,
     sample_boundary_bm,
@@ -31,7 +31,6 @@ from .sheet import (
 )
 from .stochcalc import (
     IntegralKind,
-    LineProcess,
     check_mixed_annihilation,
     integral_two_param,
     integral_zeta1,
@@ -50,9 +49,7 @@ from .malliavin import (
     Payoff,
     VectorFieldSet,
     apply_L,
-    compute_malliavin_line,
     fold_line,
-    solve_state_line,
 )
 from .models import (
     Model,

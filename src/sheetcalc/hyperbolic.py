@@ -90,7 +90,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, ModelError, NumericsError, ShapeError
-from .lattice import BoundaryPath, CellIncrements, Grid, Stream, normal_grid
+from .lattice import CellIncrements, Grid, LineProcess, Stream, normal_grid
 from .malliavin import _matmul
 
 NORM_CONVENTION = "frobenius-of-concatenated-(u,u_inv,v,v_inv)"
@@ -174,7 +174,7 @@ class SystemBoundaries:
 
     @staticmethod
     def _vals(b):
-        return np.asarray(b.values if isinstance(b, BoundaryPath) else b, dtype=np.float64)
+        return np.asarray(b.values if isinstance(b, LineProcess) else b, dtype=np.float64)
 
     def arrays(self):
         return (self._vals(self.x_s0), self._vals(self.x_0t),
@@ -744,7 +744,7 @@ def ou_coefficients(m=1) -> CoefficientSet:
     return CoefficientSet(d=d, n=1, m=m, a1=a1, b11=b11)
 
 
-def ou_system_boundaries(grid: Grid, z_s0: BoundaryPath) -> SystemBoundaries:
+def ou_system_boundaries(grid: Grid, z_s0: LineProcess) -> SystemBoundaries:
     """Boundary block for ou_coefficients: (z boundary, clock = s resp. t)."""
     zb = np.asarray(z_s0.values, dtype=np.float64)
     m = zb.shape[-1]

@@ -150,10 +150,6 @@ class LineProcess:
         return cls(v, step)
 
 
-#: The boundary-data name of the one line type.
-BoundaryPath = LineProcess
-
-
 def cumsum0(terms, axis):
     """Partial sums along `axis` with a zero slab first, bit for bit
     `np.cumsum`'s, in one fresh array: the package's one partial sum.
@@ -246,7 +242,7 @@ def sample_boundary_bm(
     channel: int = Channel.Z_S0,
     axis: str = "s",
     batch=None,
-) -> BoundaryPath:
+) -> LineProcess:
     """Brownian path from 0 on n steps of size `step`, one per component.
 
     Disjoint from cell increments and from paths on other channels/axes by
@@ -258,7 +254,7 @@ def sample_boundary_bm(
     if not (step > 0.0):
         raise ConfigurationError(f"boundary path needs step > 0, got {step}")
     incs = boundary_increments(n, step, dim, noise, channel, axis, batch)
-    return BoundaryPath(cumsum0(incs, axis=-2), step)
+    return LineProcess(cumsum0(incs, axis=-2), step)
 
 
 def boundary_increments(n, step, dim, noise: NoiseSpec, channel, axis="s", batch=None):

@@ -31,15 +31,12 @@ terms are finished one node late.  The kernel is slab arithmetic only; the
 walk passes it every callback value, and every sum adds one slab per step
 in `lattice.cumsum0`'s order.
 
-`_walk` runs the two together, once per line, for all three line functions;
-only what each keeps differs.  `fold_line` keeps the last node, as a
-one-node `MalliavinState` of what its caller reads (`reads`): this is what
-the paired runners in `verify` use, so a block holds slabs and the driver,
-not whole lines.  `solve_state_line` records x, U and U^{-1} at every node,
-and `compute_malliavin_line` all seven objects, in step-major arrays
-(n+1, ..., d) handed out as batch-first views (..., n+1, d), so in general
-not contiguous.  Gamma = U C U^T is formed only at the nodes kept, unless
-L's sums, which read it at every node, are on.
+`fold_line` runs the two together, once per line, and keeps the last node
+only, the one point of a line where the identities are read: a
+`MalliavinState` of what its caller reads (`reads`), each array (..., d) or
+(..., d, d).  So a block of the paired runners in `verify` holds slabs and
+the driver, never a whole line.  Gamma = U C U^T is formed at the last node
+only, unless L's sums, which read it at every node, are on.
 
 A non-finite state raises NumericsError naming the lowest bad path, then its
 first bad node; the walk keeps each path's first bad node as it goes.  The
@@ -157,23 +154,18 @@ class Payoff:
 
 @dataclass
 class MalliavinState:
-    """Per-line trajectories over the s-index (arrays share leading batch axes).
-
-    From `compute_malliavin_line`, every node: the arrays are batch-first
-    views over step-major storage (the s-index outermost in memory), so with
-    a batch axis they are not contiguous.  From `fold_line`, the last node
-    only (n+1 read as 1), and an array the pass did not form is None; a
-    reader that needs one raises ModelError naming it.
+    """The line objects at one node of a line, arrays with the line's batch
+    axes in front, from `fold_line`.  An array the pass did not form is
+    None; a reader that needs one raises ModelError naming it.
     """
 
-    x: np.ndarray       # (..., n+1, d)
-    U: np.ndarray       # (..., n+1, d, d)
-    U_inv: np.ndarray   # (..., n+1, d, d)
-    C: np.ndarray       # (..., n+1, d, d)
-    Gamma: np.ndarray   # (..., n+1, d, d)
-    R: np.ndarray       # (..., n+1, d)
-    L: np.ndarray       # (..., n+1, d)
-    ds: float
+    x: np.ndarray                       # (..., d)
+    U: Optional[np.ndarray] = None      # (..., d, d)
+    U_inv: Optional[np.ndarray] = None  # (..., d, d)
+    C: Optional[np.ndarray] = None      # (..., d, d)
+    Gamma: Optional[np.ndarray] = None  # (..., d, d)
+    R: Optional[np.ndarray] = None      # (..., d)
+    L: Optional[np.ndarray] = None      # (..., d)
 
     def _require(self, reader: str, *names):
         """Raise ModelError if any line object in `names`, which `reader`
@@ -376,109 +368,60 @@ def _check_fault(fault):
         raise ModelError(f"unknown fault {fault!r}")
 
 
-# trailing per-node axes of each line object
-_AXES = {"x": 1, "U": 2, "U_inv": 2, "C": 2, "Gamma": 2, "R": 1, "L": 1}
-
-
-def _record(lines, k, n, **slabs):
-    """Write node k's slabs into step-major (n+1, ...) lines, made at k = 0."""
-    for name, slab in slabs.items():
-        if k == 0:
-            lines[name] = np.empty((n + 1,) + slab.shape)
-        lines[name][k] = slab
-
-
-def _walk(vf: VectorFieldSet, z_line, x0, ds, reads, fault, every_node) -> MalliavinState:
-    """The one forward pass over a line: a `MalliavinState` of the objects it
-    forms, at every node (`every_node`) or at the last node only.
-
-    reads sets the pass.  A line read for x alone takes the state-only step
-    (no U, U^{-1} or hess X call); a read of C, Gamma, R or L runs the
-    kernel, which forms C and R; L's sums, and hess X_0, run only when L is
-    read, and then give Gamma at every node.  Otherwise Gamma, if read, is
-    formed at the nodes kept only.  An array the pass did not form is None.
-    """
-    reads = set(reads)
-    if not reads <= _AXES.keys():
-        raise ModelError(f"unknown line objects {sorted(reads - _AXES.keys())}")
-    _check_fault(fault)
-    dz, ds = _driver_increments(vf, z_line, ds)
-    x0 = _initial_state(vf, x0)
-    n, m = len(dz), vf.m
-    l_sums = "L" in reads
-    run = _LineIntegrals(dz, ds, l_sums) if reads & {"C", "Gamma", "R", "L"} else None
-
-    def formed(x, U, U_inv):
-        out = {"x": x} if U is None else {"x": x, "U": U, "U_inv": U_inv}
-        if run is not None:
-            out.update(C=run.C, R=run.R())
-            if l_sums:
-                out.update(Gamma=run.Gamma, L=run.L(U, fault))
-            elif "Gamma" in reads:
-                out["Gamma"] = run.gamma(U)
-        return out
-
-    lines = {}
-    for k, (x, U, U_inv, terms) in enumerate(_state_nodes(vf, dz, x0, ds, bool(reads - {"x"}))):
-        if run is not None:
-            if terms is None:
-                # the last node: only the midpoint weights need callbacks there
-                diff = np.stack([vf.X[i](x) for i in range(1, m + 1)], axis=-1)
-                hess = [vf.hess_X[i](x) for i in range(1, m + 1)] if l_sums else None
-                run.visit(U, U_inv, diff, hess=hess)
-            else:
-                diff, diff_jac, _, _, hess = terms
-                run.visit(U, U_inv, diff, diff_jac, hess, vf.hess_X[0](x) if l_sums else None)
-        if every_node:
-            _record(lines, k, n, **formed(x, U, U_inv))
-    if every_node:
-        arrays = {name: np.moveaxis(a, 0, -_AXES[name] - 1) for name, a in lines.items()}
-    else:
-        arrays = {name: np.expand_dims(a, -_AXES[name] - 1)
-                  for name, a in formed(x, U, U_inv).items()}
-    return MalliavinState(**{name: arrays.get(name) for name in _AXES}, ds=ds)
+# the line objects, in `MalliavinState` field order
+_OBJECTS = ("x", "U", "U_inv", "C", "Gamma", "R", "L")
 
 
 def fold_line(vf: VectorFieldSet, z_line, x0, ds: float = None, reads=("x",),
               fault: Optional[str] = None) -> MalliavinState:
-    """The objects named in `reads` at the last node of one line, from one
-    forward pass that keeps one slab of each running quantity.
+    """The objects named in `reads` at the last node of one line, from the one
+    forward pass, which keeps one slab of each running quantity.
 
-    reads: any of "x", "U", "U_inv", "C", "Gamma", "R", "L"; they set the
-    pass as for `_walk`.  Returns a one-node `MalliavinState` (node axis of
-    length 1) whose arrays are bit for bit the last node of
-    `compute_malliavin_line`'s; an array the pass did not form is None.
-    fault is as for `compute_malliavin_line`.
-    """
-    return _walk(vf, z_line, x0, ds, reads, fault, every_node=False)
-
-
-def solve_state_line(vf: VectorFieldSet, z_line, x0, ds: float = None):
-    """Euler sweep of the state, derivative flow and its inverse along one line.
-
-    z_line: driving path values (..., n+1, m) (an OU row at fixed t, or the
-    boundary motion itself at t=0).  Returns (x, U, U_inv) at all nodes, as
-    batch-first views of step-major arrays.
-    """
-    st = _walk(vf, z_line, x0, ds, ("x", "U", "U_inv"), None, every_node=True)
-    return st.x, st.U, st.U_inv
-
-
-def compute_malliavin_line(vf: VectorFieldSet, z_line, x0, ds: float = None,
-                           fault: Optional[str] = None) -> MalliavinState:
-    """x, U, U^{-1}, C, Gamma, R and L at every node of one line, from one
-    forward pass; z_line and ds are as for `solve_state_line`.
+    z_line: driving path values (..., n+1, m), a `LineProcess` or a bare
+    array with ds (an OU row at fixed t, or the boundary motion itself at
+    t=0).  reads: any of "x", "U", "U_inv", "C", "Gamma", "R", "L"; they set
+    the pass.  A line read for x alone takes the state-only step (no U,
+    U^{-1} or hess X call); a read of C, Gamma, R or L runs the kernel,
+    which forms C and R; L's sums, and hess X_0, run only when L is read,
+    and then give Gamma at every node.  Otherwise Gamma, if read, is formed
+    at the last node only.  An array the pass did not form is None.
 
     fault="flip-r-sign" negates the R term inside L only; it exists so the
     verification suite can demonstrate that a wrong formula is detected.
     """
-    return _walk(vf, z_line, x0, ds, _AXES, fault, every_node=True)
+    reads = set(reads)
+    if not reads <= set(_OBJECTS):
+        raise ModelError(f"unknown line objects {sorted(reads - set(_OBJECTS))}")
+    _check_fault(fault)
+    dz, ds = _driver_increments(vf, z_line, ds)
+    x0 = _initial_state(vf, x0)
+    m = vf.m
+    l_sums = "L" in reads
+    run = _LineIntegrals(dz, ds, l_sums) if reads & {"C", "Gamma", "R", "L"} else None
+    for x, U, U_inv, terms in _state_nodes(vf, dz, x0, ds, bool(reads - {"x"})):
+        if run is None:
+            continue
+        if terms is None:
+            # the last node: only the midpoint weights need callbacks there
+            diff = np.stack([vf.X[i](x) for i in range(1, m + 1)], axis=-1)
+            hess = [vf.hess_X[i](x) for i in range(1, m + 1)] if l_sums else None
+            run.visit(U, U_inv, diff, hess=hess)
+        else:
+            diff, diff_jac, _, _, hess = terms
+            run.visit(U, U_inv, diff, diff_jac, hess, vf.hess_X[0](x) if l_sums else None)
+    state = MalliavinState(x, U, U_inv)
+    if run is not None:
+        state.C, state.R = run.C, run.R()
+        if l_sums:
+            state.Gamma, state.L = run.Gamma, run.L(U, fault)
+        elif "Gamma" in reads:
+            state.Gamma = run.gamma(U)
+    return state
 
 
-def apply_L(payoff: Payoff, state: MalliavinState, s_index: int) -> np.ndarray:
-    """The operator value L^i d_i g + Gamma^{ij} d_i d_j g at one node."""
+def apply_L(payoff: Payoff, state: MalliavinState) -> np.ndarray:
+    """The operator value L^i d_i g + Gamma^{ij} d_i d_j g at the state's node."""
     state._require("apply_L", "x", "L", "Gamma")
-    xk = state.x[..., s_index, :]
-    term1 = np.einsum("...a,...a->...", state.L[..., s_index, :], payoff.grad_f(xk))
-    term2 = np.einsum("...ab,...ab->...", state.Gamma[..., s_index, :, :], payoff.hess_f(xk))
+    term1 = np.einsum("...a,...a->...", state.L, payoff.grad_f(state.x))
+    term2 = np.einsum("...ab,...ab->...", state.Gamma, payoff.hess_f(state.x))
     return term1 + term2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .lattice import BoundaryPath, CellIncrements, Grid, NoiseSpec, Stream, normal_grid
+from .lattice import CellIncrements, Grid, LineProcess, NoiseSpec, Stream, normal_grid
 
 CSV_SCHEMA = "sheetcalc-csv v1 kind=sheet-field columns=i,j,s,t,component,value"
 
@@ -76,7 +76,7 @@ def sample_ou_exact_batch(grid: Grid, noise: NoiseSpec, batch) -> np.ndarray:
     return values
 
 
-def solve_ou_hyperbolic(grid: Grid, z_boundary: BoundaryPath, incs: CellIncrements) -> SheetField:
+def solve_ou_hyperbolic(grid: Grid, z_boundary: LineProcess, incs: CellIncrements) -> SheetField:
     """Explicit lattice solution of d_s d_t z = d_s d_t w - (1/2) d_s z dt.
 
     Boundary data: z_{s0} = z_boundary (corner value must be 0, since the

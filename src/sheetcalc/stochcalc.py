@@ -139,12 +139,12 @@ def cell_terms(kind: IntegralKind, a: SheetField = None, x: SheetField = None,
 
 
 def integral_two_param(kind: IntegralKind, a: SheetField = None, x: SheetField = None,
-                       y: SheetField = None, sweep: str = "s-major") -> SheetField:
+                       y: SheetField = None) -> SheetField:
     """Two-parameter integral as a field of partial double sums."""
     terms = cell_terms(kind, a, x, y)
     grid = (x or y).grid
     stacked = np.moveaxis(terms, -1, 0)
-    out = np.moveaxis(prefix2d(stacked, sweep=sweep), 0, -1)
+    out = np.moveaxis(prefix2d(stacked), 0, -1)
     return SheetField(out, grid)
 
 

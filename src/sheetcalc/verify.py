@@ -367,11 +367,11 @@ def run_ibp(model: Model, payoff_f, payoff_g, grid: Grid, n_paths: int, seed: in
         spec = NoiseSpec(seed, start, m)
         z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count)
         end = fold_line(vf, z, x0, reads=("Gamma", "L"), fault=fault)
-        xk = end.x[:, 0, :]
+        xk = end.x
         gf = payoff_f.grad_f(xk)
         gg = payoff_g.grad_f(xk)
-        lhs = np.einsum("pa,pab,pb->p", gf, end.Gamma[:, 0, :, :], gg)
-        rhs = -payoff_f.f(xk) * apply_L(payoff_g, end, 0)
+        lhs = np.einsum("pa,pab,pb->p", gf, end.Gamma, gg)
+        rhs = -payoff_f.f(xk) * apply_L(payoff_g, end)
         return lhs, rhs
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
@@ -387,10 +387,10 @@ def run_bismut(model: Model, payoff_f, grid: Grid, n_paths: int, seed: int,
         spec = NoiseSpec(seed, start, m)
         z = sample_boundary_bm(grid.n_s, grid.ds, m, spec, batch=count)
         end = fold_line(vf, z, x0, reads=("U", "C", "R"))
-        xk = end.x[:, 0, :]
+        xk = end.x
         gf = payoff_f.grad_f(xk)
-        lhs_vec = np.einsum("pa,pab,pbc->pc", gf, end.U[:, 0], end.C[:, 0])
-        rhs_vec = -payoff_f.f(xk)[:, None] * end.R[:, 0, :]
+        lhs_vec = np.einsum("pa,pab,pbc->pc", gf, end.U, end.C)
+        rhs_vec = -payoff_f.f(xk)[:, None] * end.R
         return lhs_vec[:, component], rhs_vec[:, component]
 
     total = _run_paired(sample, n_paths, LINE_CHUNK, workers)
@@ -405,8 +405,8 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
 
     def sample(start, count):
         lines = _ou_lines(grid, NoiseSpec(seed, start, m), count, [0, j_gap])
-        xk = fold_line(vf, lines[:, 0], x0, grid.ds).x[:, 0, :]
-        xg = fold_line(vf, lines[:, 1], x0, grid.ds).x[:, 0, :]
+        xk = fold_line(vf, lines[:, 0], x0, grid.ds).x
+        xg = fold_line(vf, lines[:, 1], x0, grid.ds).x
         F = payoff_f.f(xk)
         G = payoff_g.f(xk)
         Fp = payoff_f.f(xg)
@@ -417,6 +417,19 @@ def run_reversibility(model: Model, payoff_f, payoff_g, grid: Grid, t_gap: float
 
     total = _run_paired(sample, n_paths, FIELD_CHUNK, workers)
     return _report(total, n_paths, workers, {"t_gap": t_gap})
+
+
+def _t_nodes(grid: Grid, ts, name):
+    """The t-node index of each of `ts`, the abscissas of a fit.  One on
+    node 0 has no increment to read (and divides by zero in the carre
+    limit), and two on one node are one point counted twice (all on one
+    node leave the fit no slope): both raise ConfigurationError."""
+    nodes = [grid.t_index(t) for t in ts]
+    if 0 in nodes:
+        raise ConfigurationError(f"{name} must be positive, got {ts}")
+    if len(set(nodes)) < len(nodes):
+        raise ConfigurationError(f"{name} {ts} fall on t-nodes {nodes}; each needs its own node")
+    return nodes
 
 
 def intercept_weights(ts) -> np.ndarray:
@@ -439,21 +452,21 @@ def run_carre_limit(model: Model, payoff_f, payoff_g, grid: Grid, t_gaps,
     gaps = list(t_gaps)
     if len(gaps) < 2:
         raise ConfigurationError("need at least two t-gaps to extrapolate")
-    j_gaps = [grid.t_index(t) for t in gaps]
+    j_gaps = _t_nodes(grid, gaps, "t_gaps")
     wts = intercept_weights(gaps)
 
     def sample(start, count):
         lines = _ou_lines(grid, NoiseSpec(seed, start, m), count, [0] + j_gaps)
         end = fold_line(vf, lines[:, 0], x0, grid.ds, reads=("Gamma",))
-        xk = end.x[:, 0, :]
+        xk = end.x
         F = payoff_f.f(xk)
         G = payoff_g.f(xk)
         carre = np.einsum(
-            "pa,pab,pb->p", payoff_f.grad_f(xk), end.Gamma[:, 0, :, :], payoff_g.grad_f(xk)
+            "pa,pab,pb->p", payoff_f.grad_f(xk), end.Gamma, payoff_g.grad_f(xk)
         )
         extrap = np.zeros(count)
         for r, (wgt, gap) in enumerate(zip(wts, gaps), start=1):
-            xg = fold_line(vf, lines[:, r], x0, grid.ds).x[:, 0, :]
+            xg = fold_line(vf, lines[:, r], x0, grid.ds).x
             Fp = payoff_f.f(xg)
             Gp = payoff_g.f(xg)
             extrap = extrap + wgt * ((Fp - F) * (Gp - G) / gap)
@@ -476,9 +489,7 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
     lags = list(lags)
     if len(lags) < 3:
         raise ConfigurationError("holder scan needs at least 3 lags")
-    j_lags = [grid.t_index(t) for t in lags]
-    if any(j == 0 for j in j_lags):
-        raise ConfigurationError("lags must be positive grid multiples")
+    j_lags = _t_nodes(grid, lags, "lags")
     if target in ("x", "u") and model is None:
         raise ConfigurationError(f"target {target!r} needs a model")
     if target == "p" and coeffs is None:
@@ -500,15 +511,8 @@ def run_holder_scan(target: str, grid: Grid, alpha: float, lags, n_paths: int,
             reads, out = ("x",) if target == "x" else ("U",), []
             for r in range(lines.shape[1]):
                 end = fold_line(model.vf, lines[:, r], model.x0, grid.ds, reads=reads)
-                if target == "x":
-                    x = end.x[:, 0, :]
-                    out.append(np.linalg.norm(x, axis=-1) if model.vf.d > 1 else x[:, 0])
-                else:
-                    U = end.U[:, 0]
-                    out.append(
-                        np.linalg.norm(U.reshape(count, -1), axis=-1)
-                        if model.vf.d > 1 else U[:, 0, 0]
-                    )
+                v = end.x if target == "x" else end.U.reshape(count, -1)
+                out.append(np.linalg.norm(v, axis=-1) if model.vf.d > 1 else v[:, 0])
             return out
         # target == "p": general hyperbolic sweep with zero boundary data,
         # keeping p at the nodes read

@@ -21,7 +21,6 @@ from sheetcalc.lattice import (
     sample_cell_increments_batch,
 )
 from sheetcalc.models import coordinate_payoff, linear_1d, polynomial_fields
-from sheetcalc.malliavin import compute_malliavin_line
 from sheetcalc.hyperbolic import (
     bounded_test_coefficients,
     solve_system,
@@ -37,6 +36,7 @@ from sheetcalc.verify import (
     run_holder_scan,
     run_ibp,
 )
+from test_models import whole_line
 
 SEED = 20260809
 E2 = float(np.exp(2.0))
@@ -223,11 +223,11 @@ def test_criterion_8_structural_invariants(tmp_path):
         [[(0.25, [0, 1])], [(1.0, [0, 0])]],
     ])
     z = sample_boundary_bm(32, 1.0 / 32, 2, NoiseSpec(SEED, 0, 2), batch=1000).values
-    st = compute_malliavin_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
-    min_eig = float(np.linalg.eigvalsh(st.Gamma[:, -1]).min())
+    line = whole_line(vf, z, np.array([0.5, -0.5]), 1.0 / 32)
+    min_eig = float(np.linalg.eigvalsh(line["Gamma"][:, -1]).min())
     psd_ok = min_eig >= -1e-10
-    refactored = np.einsum("...ab,...bc,...dc->...ad", st.U, st.C, st.U)
-    factor_ok = np.array_equal(st.Gamma, refactored)
+    refactored = np.einsum("...ab,...bc,...dc->...ad", line["U"], line["C"], line["U"])
+    factor_ok = np.array_equal(line["Gamma"], refactored)
 
     # b = 0 companions are exactly the identity
     grid = Grid(8, 8, 0.125, 0.125)

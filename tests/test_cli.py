@@ -280,6 +280,15 @@ class TestValidation:
         assert run(_write(tmp_path, _cfg(tmp_path, model=model))) == 2
         assert "model x0" in capsys.readouterr().err
 
+    def test_holder_lags_on_one_node_exit_2_without_report(self, tmp_path, capsys):
+        # these lags wrote a NaN fitted slope and exited 4 under --assert
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 100})
+        cfg["grid"] = {"n_s": 8, "n_t": 4, "ds": 0.125, "dt": 0.25}
+        cfg["run"] = {"command": "holder-scan", "target": "sheet", "lags": [0.25, 0.25, 0.25]}
+        assert run(_write(tmp_path, cfg), assert_thresholds=True) == 2
+        assert "each needs its own node" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate-sheet", "sample-ou", "verify-rules"])
     def test_one_path_exits_2_without_report(self, tmp_path, capsys, command):
         # a sample variance needs two paths; at one, these reports held bare NaNs
@@ -315,7 +324,7 @@ class TestRunCommands:
         assert run(_write(tmp_path, cfg)) == 3
 
     def test_nonfinite_sample_exits_3_without_report(self, tmp_path, monkeypatch, capsys):
-        def nan_at_path_7(payoff, state, k):
+        def nan_at_path_7(payoff, state):
             out = np.zeros(state.x.shape[0])
             out[7] = np.nan
             return out

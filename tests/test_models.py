@@ -8,11 +8,10 @@ zero coefficients, powers >= 3, constants), of f, grad f and hess f for the
 payoff presets, and of every `MalliavinState` array of a d = 2, m = 2 line
 in five line shapes (one batch axis, none, two, a batch that comes from x0
 alone, a batched driver with x0 of shape (1, d)) and of a d = 3, m = 1 line,
-all seven recorded at every node by one `compute_malliavin_line` pass.
-`fold_line`, which keeps only a line's last node, must give that node of
-every one of these lines bit for bit, and node k of each line is the last
-node of the line cut at k.  A pin changes only on purpose;
-regenerate the file with
+all seven at every node: node k is `fold_line`'s last node of the line cut
+at k, stacked by `whole_line`.  `fold_line` reading any subset of the seven
+must give each of them with the all-objects pass's bits.  A pin changes
+only on purpose; regenerate the file with
 
     PYTHONPATH=src python tests/test_models.py --update
 
@@ -29,7 +28,7 @@ import pytest
 
 from sheetcalc.lattice import NoiseSpec, sample_boundary_bm
 from sheetcalc.errors import ModelError
-from sheetcalc.malliavin import compute_malliavin_line, fold_line
+from sheetcalc.malliavin import fold_line
 from sheetcalc.models import (
     constant_payoff,
     coordinate_payoff,
@@ -116,12 +115,26 @@ def _line(m, batch=None, n=32):
     return sample_boundary_bm(n, 1.0 / n, m, NoiseSpec(SEED, 0, m), batch=batch).values
 
 
+# (line object, number of its per-node axes)
+_OBJECTS = (("x", 1), ("U", 2), ("U_inv", 2), ("C", 2), ("Gamma", 2), ("R", 1), ("L", 1))
+ALL_OBJECTS = tuple(name for name, _ in _OBJECTS)
+
+
+def whole_line(vf, z, x0, ds, reads=ALL_OBJECTS, fault=None):
+    """Each object in `reads` at every node of the line z (..., n+1, m), by
+    name, with a node axis before its per-node axes: (..., n+1, d) or
+    (..., n+1, d, d).  Node k is `fold_line`'s last node of the line cut at k."""
+    ends = [fold_line(vf, z[..., :k + 1, :], x0, ds, reads=reads, fault=fault)
+            for k in range(z.shape[-2])]
+    return {name: np.stack([getattr(end, name) for end in ends], axis=-axes - 1)
+            for name, axes in _OBJECTS if name in reads}
+
+
 def _state_digests(vf, z, x0):
-    """Digests of every MalliavinState array of one line."""
+    """Digests of every MalliavinState array at every node of one line."""
     n = z.shape[-2] - 1
-    st = compute_malliavin_line(vf, z, np.asarray(x0, dtype=np.float64), 1.0 / n)
-    return {name: _digest(getattr(st, name))
-            for name in ("x", "U", "U_inv", "C", "Gamma", "R", "L")}
+    line = whole_line(vf, z, np.asarray(x0, dtype=np.float64), 1.0 / n)
+    return {name: _digest(line[name]) for name in ALL_OBJECTS}
 
 
 # line shapes: one batch axis, none, two, a batch from x0 alone, a batched
@@ -156,25 +169,21 @@ class TestModelPins:
 
 class TestLazyL:
     """A fault in L changes L alone: the other six objects of the one pass
-    keep their bits."""
+    keep their bits at every node."""
 
     def test_flip_r_sign_changes_only_l(self):
         vf, z, x0 = LINE_CASES["malliavin-d2m2"]()
-        honest = compute_malliavin_line(vf, z, x0, 1.0 / 32)
-        flipped = compute_malliavin_line(vf, z, x0, 1.0 / 32, fault="flip-r-sign")
+        honest = whole_line(vf, z, x0, 1.0 / 32)
+        flipped = whole_line(vf, z, x0, 1.0 / 32, fault="flip-r-sign")
         for name in ("x", "U", "U_inv", "C", "Gamma", "R"):
-            assert np.array_equal(getattr(honest, name), getattr(flipped, name))
-        assert not np.array_equal(honest.L, flipped.L)
-
-
-
-# (array name, number of trailing per-node axes)
-_OBJECTS = (("x", 1), ("U", 2), ("U_inv", 2), ("C", 2), ("Gamma", 2), ("R", 1), ("L", 1))
+            assert np.array_equal(honest[name], flipped[name])
+        assert not np.array_equal(honest["L"], flipped["L"])
 
 
 class TestFoldLine:
-    """`fold_line` keeps a line's last node only, bit for bit, and node k of a
-    whole line is the last node of that line cut at k."""
+    """`fold_line` gives each object it reads at the last node, with no node
+    axis, bit for bit as the all-objects pass gives it; that pass at every
+    cut of a line is what the model pins hold."""
 
     @pytest.mark.parametrize("case", sorted(LINE_CASES))
     @pytest.mark.parametrize("reads, fault", [
@@ -183,36 +192,23 @@ class TestFoldLine:
         (("U", "C", "R"), None),
         (("Gamma",), None),
         (("Gamma", "L"), "flip-r-sign"),
-        (tuple(name for name, _ in _OBJECTS), None),
+        (ALL_OBJECTS, None),
     ], ids=["state", "flow", "bismut", "carre", "ibp-flipped", "all"])
     def test_last_node_of_the_whole_lines(self, case, reads, fault):
         vf, z, x0 = LINE_CASES[case]()
         x0 = np.asarray(x0, dtype=np.float64)
         n = z.shape[-2] - 1
-        whole = compute_malliavin_line(vf, z, x0, 1.0 / n, fault=fault)
+        batch = np.broadcast_shapes(z.shape[:-2], x0.shape[:-1])
+        full = fold_line(vf, z, x0, 1.0 / n, reads=ALL_OBJECTS, fault=fault)
         end = fold_line(vf, z, x0, 1.0 / n, reads=reads, fault=fault)
         for name, axes in _OBJECTS:
             if name not in reads:
                 continue
-            last = getattr(whole, name)[(..., slice(n, None)) + (slice(None),) * axes]
-            got = getattr(end, name)
+            last, got = getattr(full, name), getattr(end, name)
+            assert got.shape == batch + (vf.d,) * axes
             assert got.shape == last.shape and got.tobytes() == last.tobytes(), name
         if "x" in reads and len(reads) == 1:
             assert end.U is None and end.C is None
-
-    @pytest.mark.parametrize("case", sorted(LINE_CASES))
-    def test_every_node_is_the_last_node_of_the_line_cut_there(self, case):
-        vf, z, x0 = LINE_CASES[case]()
-        x0 = np.asarray(x0, dtype=np.float64)
-        n = z.shape[-2] - 1
-        whole = compute_malliavin_line(vf, z, x0, 1.0 / n)
-        reads = tuple(name for name, _ in _OBJECTS)
-        for k in (0, 1, n // 2, n):
-            end = fold_line(vf, z[..., :k + 1, :], x0, 1.0 / n, reads=reads)
-            for name, axes in _OBJECTS:
-                node = getattr(whole, name)[(..., slice(k, k + 1)) + (slice(None),) * axes]
-                got = getattr(end, name)
-                assert got.shape == node.shape and got.tobytes() == node.tobytes(), (k, name)
 
     def test_state_only_line_calls_no_hessian(self):
         calls = {}

@@ -13,15 +13,19 @@ import sheetcalc.cli
 from test_golden import ROOT
 
 # perfbench/tracer.py still lists functions the package has deleted: the
-# first went with the move to numpy's Philox generator, the other four with
-# the library surface that only tests reached.  The tracer records none of
-# them with a work count, so no per-layer metric is lost.
+# first went with the move to numpy's Philox generator, the next four with
+# the library surface that only tests reached, and the last two with the
+# whole-line Malliavin mode.  The first five have no work count; the last
+# two counted step·paths, which read 0 since no run called them, so no
+# per-layer metric moves.
 KNOWN_ABSENT = {
     "sheetcalc.philox.philox4x64",
     "sheetcalc.lattice.sample_cell_increments",
     "sheetcalc.stochcalc.t_line",
     "sheetcalc.stochcalc.s_line",
     "sheetcalc.stochcalc.bdg_moment_check",
+    "sheetcalc.malliavin.solve_state_line",
+    "sheetcalc.malliavin.compute_malliavin_line",
 }
 
 

@@ -6,9 +6,9 @@ from scipy import stats
 
 from sheetcalc.errors import ConfigurationError
 from sheetcalc.lattice import (
-    BoundaryPath,
     CellIncrements,
     Grid,
+    LineProcess,
     NoiseSpec,
     sample_boundary_bm,
     sample_cell_increments_batch,
@@ -124,7 +124,7 @@ class TestOUHyperbolic:
     def test_zero_noise_zero_boundary(self):
         grid = _grid44()
         incs = CellIncrements(np.zeros((4, 4, 1)), grid)
-        zb = BoundaryPath(np.zeros((5, 1)), 0.25)
+        zb = LineProcess(np.zeros((5, 1)), 0.25)
         assert np.all(solve_ou_hyperbolic(grid, zb, incs).values == 0.0)
 
     def test_zero_noise_decay_oracle(self):
@@ -133,7 +133,7 @@ class TestOUHyperbolic:
         grid = Grid(4, 16, 0.25, 0.125)
         incs = CellIncrements(np.zeros((4, 16, 1)), grid)
         c = np.sin(grid.s_nodes())[:, None]
-        zb = BoundaryPath.from_values(c, 0.25)
+        zb = LineProcess.from_values(c, 0.25)
         fld = solve_ou_hyperbolic(grid, zb, incs).values[..., 0]
         for j in (1, 8, 16):
             np.testing.assert_allclose(
@@ -145,7 +145,7 @@ class TestOUHyperbolic:
         for n_t in (32, 64):
             grid = Grid(2, n_t, 0.5, 1.0 / n_t)
             incs = CellIncrements(np.zeros((2, n_t, 1)), grid)
-            zb = BoundaryPath.from_values(np.array([[0.0], [1.0], [2.0]]), 0.5)
+            zb = LineProcess.from_values(np.array([[0.0], [1.0], [2.0]]), 0.5)
             fld = solve_ou_hyperbolic(grid, zb, incs).values[..., 0]
             errs.append(abs(fld[2, n_t] - 2.0 * np.exp(-0.5)))
         assert errs[1] < 0.7 * errs[0]
@@ -153,7 +153,7 @@ class TestOUHyperbolic:
     def test_corner_must_vanish(self):
         grid = _grid44()
         incs = CellIncrements(np.zeros((4, 4, 1)), grid)
-        zb = BoundaryPath.from_values(np.ones((5, 1)), 0.25)
+        zb = LineProcess.from_values(np.ones((5, 1)), 0.25)
         with pytest.raises(ConfigurationError):
             solve_ou_hyperbolic(grid, zb, incs)
 

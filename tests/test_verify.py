@@ -16,7 +16,7 @@ from sheetcalc.lattice import (
     sample_boundary_bm,
     sample_cell_increments_batch,
 )
-from sheetcalc.malliavin import Payoff, solve_state_line
+from sheetcalc.malliavin import Payoff, fold_line
 from sheetcalc.models import (
     constant_payoff,
     coordinate_payoff,
@@ -173,6 +173,19 @@ class TestCarreLimit:
             run_carre_limit(linear_1d(), coordinate_payoff(), coordinate_payoff(),
                             FIELD_GRID, [0.25], 100, 7)
 
+    def test_gaps_on_one_node_rejected(self):
+        # two equal gaps leave the intercept fit no slope: its weights were
+        # NaN and the run failed as a non-finite sample
+        with pytest.raises(ConfigurationError, match=r"t_gaps .* each needs its own node"):
+            run_carre_limit(linear_1d(), coordinate_payoff(), coordinate_payoff(),
+                            FIELD_GRID, [1.0 / 16, 1.0 / 16], 100, 7)
+
+    def test_zero_gap_rejected(self):
+        # a zero gap divided by zero and failed as a non-finite sample
+        with pytest.raises(ConfigurationError, match="t_gaps must be positive"):
+            run_carre_limit(linear_1d(), coordinate_payoff(), coordinate_payoff(),
+                            FIELD_GRID, [0.0, 1.0 / 16], 100, 7)
+
 
 class TestHolderScan:
     def test_sheet_slope_one(self):
@@ -198,6 +211,13 @@ class TestHolderScan:
     def test_off_grid_lag_rejected(self):
         with pytest.raises(ConfigurationError):
             run_holder_scan("sheet", FIELD_GRID, 2.0, [0.1, 0.2, 0.3], 100, 10)
+
+    @pytest.mark.parametrize("lags", [[0.25, 0.25, 0.25], [0.125, 0.25, 0.25 + 1e-12]],
+                             ids=["equal", "one-node"])
+    def test_lags_on_one_node_rejected(self, lags):
+        # all on one node, the fit wrote a NaN slope and CI
+        with pytest.raises(ConfigurationError, match=r"lags .* each needs its own node"):
+            run_holder_scan("sheet", FIELD_GRID, 2.0, lags, 100, 10)
 
     def test_degenerate_data_refused(self):
         with pytest.raises(DegenerateDataError):
@@ -360,7 +380,7 @@ class TestLineFold:
         for p, step in poisoned.items():
             z[p, step:] = np.nan
         with pytest.raises(NumericsError) as line:
-            solve_state_line(model.vf, z, model.x0, 1.0 / n)
+            fold_line(model.vf, z, model.x0, 1.0 / n)
         monkeypatch.setattr(verify, "sample_boundary_bm",
                             lambda *args, **kwargs: LineProcess(z, 1.0 / n))
         grid, f = Grid(n, 1, 1.0 / n, 1.0), coordinate_payoff()
