@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -238,8 +240,34 @@ def _output_errors():
         raise ConfigurationError(f"output.directory: {exc}") from exc
 
 
+# glibc's malloc takes a request from mmap when it reaches a threshold that
+# starts at 128 KiB and rises to the size of each mmapped block freed (to at
+# most 32 MiB), and returns an arena's free top to the system past twice that
+# threshold.  A run's arrays straddle those sizes (a 16384-path line block
+# draws 16 MiB lines and steps on 128 KiB slabs), so which of them came from
+# the worker threads' arenas, and with it the process's peak resident set,
+# depended on the order in which the threads freed them: noise_line's peak
+# read 126, 144 or 162-168 MiB from one run to the next.  With both
+# thresholds fixed at 32 MiB every array below that comes from an arena and
+# a block's freed top goes back, so every run places its arrays alike.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters
+_MALLOC_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def _fix_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds for this process, once; on
+    another C library, do nothing."""
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "gnu_get_libc_version"):
+            libc.mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+            libc.mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+
+
 def run(config_path, assert_thresholds=False, workers=None, seed_override=None) -> int:
     """Execute one experiment config; returns the process exit code."""
+    _fix_malloc_thresholds()
     try:
         raw = load_config(config_path)
         cfg = expand_config(raw, workers=workers, seed_override=seed_override)

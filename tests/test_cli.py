@@ -561,3 +561,47 @@ class TestColdStart:
         assert out.returncode == 0, out.stderr
         assert out.stdout == "0 False\n"
         assert json.loads((tmp_path / "out" / "report.json").read_text())["ks_pvalue"] >= 0.01
+
+
+_MMAPPED_PROBE = """
+import ctypes, sys
+import numpy as np
+from sheetcalc import cli
+
+class Info(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+
+def mmapped(mib):
+    before = libc.mallinfo2().hblkhd
+    a = np.ones(mib << 20, np.uint8)
+    return libc.mallinfo2().hblkhd - before >= mib << 20
+
+print(cli.run(sys.argv[1]), mmapped(28), mmapped(40))
+"""
+
+
+def _glibc_version():
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION").split()[1]
+    except (AttributeError, IndexError, ValueError, OSError):
+        return None
+    return tuple(int(part) for part in version.split(".")[:2])
+
+
+@pytest.mark.skipif((_glibc_version() or (0,)) < (2, 33), reason="mallinfo2 needs glibc 2.33")
+class TestMallocThresholds:
+    """A run pins glibc's mmap threshold at 32 MiB: after it an array below
+    that comes from an arena, whatever sizes the process freed before, and
+    one above it from mmap.  By default a fresh process mmaps both."""
+
+    def test_run_fixes_the_mmap_threshold(self, tmp_path):
+        cfg = _cfg(tmp_path, **{"mc.n_paths": 200})
+        cfg["run"] = {"command": "simulate-sheet"}
+        out = _fresh(tmp_path, "-c", _MMAPPED_PROBE, _write(tmp_path, cfg))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0 False True\n"
