@@ -55,7 +55,8 @@ Each completed diagonal goes to a recorder.  By default it is written into
 node-major arrays, (S+1, T+1, *batch, ...), and the solution exposes them
 batch-first; a second-order flow that is never driven is a read-only view of
 zeros.  With `keep_p` only p at the named nodes is kept, so a caller that
-reads a few nodes holds the window, not the field.
+reads a few nodes holds the window, not the field; at M = inf such a sweep
+forms no flow at all (below).
 
 Per-diagonal cost: stacked small-matrix products go through
 `malliavin._matmul`, elementwise over every path and node of a diagonal, so
@@ -66,18 +67,23 @@ each new value unchanged, and the identity basis is a broadcast view.  A
 step does no work whose result is fixed before the sweep starts: u* and v*
 are transported, and held, only when b12 or b22 (for v*, b21 or b22) is
 present, and otherwise stay zero; the freeze mask is kept only under a
-finite blowup_M, since at M = inf no node can leave the domain.  The norm
-tuple's sums of squares add the entries of each 1 x 1 or 2 x 2 matrix one
-by one in numpy's own order, without a reduction call.
+finite blowup_M, since at M = inf no node can leave the domain.  x, p and q
+never read a flow, so the flows, u* and v*, the norm tuple and m are formed
+only when the recorder or the mask reads them: a `keep_p` sweep at M = inf
+advances x, p and q alone.  The norm tuple's sums of squares add the
+entries of each 1 x 1 or 2 x 2 matrix one by one in numpy's own order,
+without a reduction call.
 
 Failing node: a non-finite value at an in-domain node raises NumericsError
 naming the node (cell) and the first bad path in it (a tuple of batch
 indices).  Each completed diagonal sets a bool flag per node and path (x, p,
-q or m non-finite, node in the domain), under either recorder; the flags are
-read once, after the sweep finishes.  When several nodes are bad, the one
-named is the first in the order of an s-major cell-by-cell sweep, which
-checks the corner (0, 0) first, node (a, b >= 1) in row a at cell b - 1,
-and node (a + 1, 0) in row a just after node (a, 1).
+q or, where the flows are formed, m non-finite; node in the domain); the
+flags are read once, after the sweep finishes.  A flow may overflow before x
+does, so a `keep_p` sweep at M = inf, which forms no m, can name a later node
+than the whole solve.  When several nodes are bad, the one named is the
+first in the order of an s-major cell-by-cell sweep, which checks the corner
+(0, 0) first, node (a, b >= 1) in row a at cell b - 1, and node (a + 1, 0)
+in row a just after node (a, 1).
 """
 
 from __future__ import annotations
@@ -267,18 +273,20 @@ def solve_system(
     Without keep_p the result is the whole `HyperbolicSolution`.  keep_p
     names nodes (i, j); then only p at those nodes is kept and returned, an
     array (*batch, len(keep_p), n) in the order given.
-    Raises NumericsError on a non-finite value at an in-domain node.
+    Raises NumericsError on a non-finite value (x, p, q or m) at an
+    in-domain node.  keep_p at blowup_M = inf forms no flow and so no m: it
+    names the first node where x, p or q is non-finite.
     """
     if keep_p is not None:
         S, T = grid.n_s, grid.n_t
         keep_p = [(int(i), int(j)) for i, j in keep_p]
         if not all(0 <= i <= S and 0 <= j <= T for i, j in keep_p):
             raise ShapeError(f"keep_p names a node outside the {S} x {T} grid: {keep_p}")
-        return _sweep(coeffs, boundaries, grid, incs, blowup_M, lambda ctx: _KeptP(ctx, keep_p))
+        return _sweep(coeffs, boundaries, grid, incs, blowup_M, _KeptP, keep_p)
     return _sweep(coeffs, boundaries, grid, incs, blowup_M, _Fields)
 
 
-def _sweep(coeffs, boundaries, grid, incs, blowup_M, recorder):
+def _sweep(coeffs, boundaries, grid, incs, blowup_M, recorder, *args):
     S, T = grid.n_s, grid.n_t
     xb_s, xb_t, pb, qb = boundaries.arrays()
     w = incs.values
@@ -293,8 +301,8 @@ def _sweep(coeffs, boundaries, grid, incs, blowup_M, recorder):
     if not np.array_equal(ca, cb, equal_nan=True):
         raise ConfigurationError("corner inconsistency: x_s0[0] differs from x_0t[0]")
 
-    ctx = _SweepContext(coeffs, xb_s, xb_t, pb, qb, w, blowup_M)
-    rec = recorder(ctx)
+    ctx = _SweepContext(coeffs, xb_s, xb_t, pb, qb, w, blowup_M, recorder.reads_flows)
+    rec = recorder(ctx, *args)
     bad = np.zeros((S + 1, T + 1) + ctx.batch, dtype=bool)
     bad_k = _by_diagonal(bad)
 
@@ -340,6 +348,8 @@ class _Fields:
     """Recorder of the whole solution: every completed diagonal is written
     into node-major arrays, (S+1, T+1, *batch, ...), that the solution
     exposes batch-first."""
+
+    reads_flows = True
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -394,6 +404,8 @@ class _Fields:
 class _KeptP:
     """Recorder of p at the named nodes only, batch-first (*batch, nodes, n)."""
 
+    reads_flows = False
+
     def __init__(self, ctx, nodes):
         self.ctx = ctx
         self.p = np.zeros(ctx.batch + (len(nodes), ctx.c.n))
@@ -429,7 +441,7 @@ class _SweepContext:
     keeps three diagonals (k, k + 1 and the k + 2 it writes), every other
     field two (k and k + 1)."""
 
-    def __init__(self, coeffs, xb_s, xb_t, pb, qb, w, blowup_M):
+    def __init__(self, coeffs, xb_s, xb_t, pb, qb, w, blowup_M, reads_flows):
         c = self.c = coeffs
         d, n, m = c.d, c.n, c.m
         S, T = self.S, self.T = w.shape[-3], w.shape[-2]
@@ -448,17 +460,20 @@ class _SweepContext:
                       line(np.diff(xb_s, axis=-2)), line(np.diff(xb_t, axis=-2)))
         self.x = ring(d, size=3)
         self.p, self.q = ring(n), ring(n)
-        self.u, self.u_inv = ring(d, d), ring(d, d)
-        self.v, self.v_inv = ring(d, d), ring(d, d)
-        # u* (v*) is driven only by b12 or b22 (b21 or b22)
-        self.u_star = ring(d, d, d) if c.b12 is not None or c.b22 is not None else None
-        self.v_star = ring(d, d, d) if c.b21 is not None or c.b22 is not None else None
         self.ds_x, self.dt_x = ring(d), ring(d)
-        self.m_field = ring()
         self.M = blowup_M
         # at M = inf no node can freeze, so `blown` stays all False
         self.masked = not np.isinf(blowup_M)
         self.blown = ring(dtype=bool) if self.masked else None
+        # x, p and q never read the flows; only a recorder or the mask does
+        self.flows = reads_flows or self.masked
+        flow = ring if self.flows else lambda *trail: None
+        self.u, self.u_inv = flow(d, d), flow(d, d)
+        self.v, self.v_inv = flow(d, d), flow(d, d)
+        self.m_field = flow()
+        # u* (v*) is driven only by b12 or b22 (b21 or b22)
+        self.u_star = flow(d, d, d) if c.b12 is not None or c.b22 is not None else None
+        self.v_star = flow(d, d, d) if c.b21 is not None or c.b22 is not None else None
         self.eye = np.eye(d)
         # cell (i, k - i) at [k, i]: a view, where a copy would cost w's size
         self.w = _by_diagonal(
@@ -466,8 +481,9 @@ class _SweepContext:
         # diagonal 0: the corner x(0, 0) is taken from x_0t, which the corner
         # check holds equal to x_s0[0], and the flows start at I
         self.x[0, 0] = self.lines[1][0]
-        for a in (self.u, self.u_inv, self.v, self.v_inv):
-            a[0, 0] = self.eye
+        if self.flows:
+            for a in (self.u, self.u_inv, self.v, self.v_inv):
+                a[0, 0] = self.eye
         self.lo = 0  # first slot of the current diagonal
         self.dead = None  # the current diagonal's frozen paths, (nodes, *batch)
         self.all_live = True  # no path dead on the current diagonal
@@ -524,9 +540,11 @@ class _SweepContext:
     def bad(self, k):
         """Non-finite in-domain flags of diagonal k's nodes, (nodes, *batch)."""
         at, every = self.at, self.nodes(k)
-        finite = np.isfinite(at(self.m_field, k)[every])
-        for a in (self.x, self.p, self.q):
+        finite = np.all(np.isfinite(at(self.x, k)[every]), axis=-1)
+        for a in (self.p, self.q):
             finite &= np.all(np.isfinite(at(a, k)[every]), axis=-1)
+        if self.flows:
+            finite &= np.isfinite(at(self.m_field, k)[every])
         if self.masked:
             return ~at(self.blown, k)[every] & ~finite
         return ~finite
@@ -554,13 +572,13 @@ class _SweepContext:
             return a[sel.start - lo:sel.stop - lo]
 
         self._transport(self.s_side, k, s, on(xs, s), on(ps, s), on(qs, s), xi)
-        if k < self.S:
+        if self.flows and k < self.S:
             # the s-axis determines v there: v_{s0} = u_{s0}, v*_{s0} = 0
             at(self.v, k + 1)[k + 1] = at(self.u, k + 1)[k + 1]
             at(self.v_inv, k + 1)[k + 1] = at(self.u_inv, k + 1)[k + 1]
 
         self._transport(self.t_side, k, t, on(xs, t), on(ps, t), on(qs, t), tau)
-        if k < self.T:
+        if self.flows and k < self.T:
             # the t-axis determines u there: u_{0t} = v_{0t}, u*_{0t} = 0
             at(self.u, k + 1)[0] = at(self.v, k + 1)[0]
             at(self.u_inv, k + 1)[0] = at(self.v_inv, k + 1)[0]
@@ -607,8 +625,9 @@ class _SweepContext:
     def _transport(self, side, k, sel, xs, ps, qs, own):
         """side's companion and flow triple advance one step from diagonal
         k's slots sel onto diagonal k + 1; own is the state's increment along
-        it.  Without b12 and b22 the second-order flow has no ring: it is
-        never driven, and the solution keeps its zeros."""
+        it.  Without flows only the companion advances; without b12 and b22
+        the second-order flow has no ring: it is never driven, and the
+        solution keeps its zeros."""
         at = self.at
         to = slice(sel.start + side.di, sel.stop + side.di)
         dc = 0.0
@@ -618,6 +637,8 @@ class _SweepContext:
             dc = dc + side.k2(xs, ps, qs, own, own)
         ck = at(side.comp, k)[sel]
         at(side.comp, k + 1)[to] = self._live(sel, ck + dc, ck)
+        if side.flow is None:
+            return
 
         # G and the brace below enter the flows only through _matmul, which
         # adds +0.0, and through I - G, so each may start from its first
@@ -666,8 +687,11 @@ class _SweepContext:
         """Both u and v now exist on diagonal k: update m and, under a finite
         M only, the mask.  A node's running sup takes its s-predecessor
         (a - 1, b) first, if a > 0, then its t-predecessor (a, b - 1), if b > 0;
-        they sit at slots a - 1 and a of diagonal k - 1.
+        they sit at slots a - 1 and a of diagonal k - 1.  Without flows there
+        is neither.
         """
+        if not self.flows:
+            return
         at, every = self.at, self.nodes(k)
         lo, hi = every.start, every.stop
         s = slice(max(lo, 1), hi)   # a > 0

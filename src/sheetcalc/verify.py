@@ -14,10 +14,12 @@ folds and the sums still run once per block at block width.  The Hölder
 p scan sweeps each block's hyperbolic system once and keeps p only at the
 nodes it reads, (n_s, 0) and (n_s, j) for each lag j
 (`solve_system(..., keep_p=...)`): the sweep then holds a window of
-diagonals, never a node-major field.  Each block returns one vector of
-raw sums over its paths (`_block_sums`), and the runner adds the vectors in
-block order (`_add_blocks`), so a report is bit-identical for any worker
-count; each runner keeps its own sums and its own standard-error formula.
+diagonals, never a node-major field, and at its infinite blow-up threshold
+advances x, p and q alone, forming no flow, inverse or norm sup.  Each block
+returns one vector of raw sums over its paths (`_block_sums`), and the runner
+adds the vectors in block order (`_add_blocks`), so a report is
+bit-identical for any worker count; each runner keeps its own sums and its
+own standard-error formula.
 A non-finite sample or a solver failure inside a block raises
 `NumericsError` naming the global path index; a sum that overflows raises it
 naming the first path of the block that made the total non-finite.

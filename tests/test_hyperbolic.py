@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sheetcalc import hyperbolic
 from sheetcalc.errors import ConfigurationError, ModelError, NumericsError, ShapeError
 from sheetcalc.hyperbolic import (
     CoefficientSet,
@@ -533,6 +534,27 @@ class TestSkippedWork:
             assert star.shape == sol.u.shape[:-2] + (coeffs.d,) * 3
             assert np.all(star == 0.0) and not np.any(np.signbit(star))
 
+    @pytest.mark.parametrize("blowup_M, kept, forms", [
+        (np.inf, True, False), (1e6, True, True), (np.inf, False, True),
+    ], ids=["kept-p", "kept-p-masked", "whole"])
+    def test_only_a_reader_of_the_flows_forms_them(self, blowup_M, kept, forms,
+                                                   monkeypatch):
+        # x, p and q never read u, v, their inverses or m; only the whole
+        # solve's recorder and a finite M's freeze mask do, so a keep_p
+        # sweep at M = inf makes no flow product and takes no norm
+        calls = []
+        for name in ("_matmul", "_tuple_norm"):
+            real = getattr(hyperbolic, name)
+            monkeypatch.setattr(hyperbolic, name,
+                                lambda *a, f=real, n=name: calls.append(n) or f(*a))
+        coeffs, bounds, grid, incs, _ = _pin_case("bounded1d-7x3")
+        keep = _kept_nodes(grid) if kept else None
+        solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M, keep_p=keep)
+        if forms:
+            assert calls.count("_matmul") > 0 and calls.count("_tuple_norm") > 0
+        else:
+            assert calls == []
+
 
 def _exchanged(c: CoefficientSet) -> CoefficientSet:
     """The system with s and t exchanged: b12 and b21 trade places, every b
@@ -685,8 +707,10 @@ class TestFailingNodeOrder:
 
     @pytest.mark.parametrize("case", sorted(FAILING_CASES))
     def test_kept_nodes_fail_as_the_whole_solve(self, case, monkeypatch):
-        # keep_p keeps the same per-node flags, so it names the same node and
-        # path, and only after the sweep has run over every diagonal
+        # keep_p at M = inf flags x, p and q only, as it forms no m (see
+        # test_kept_p_names_the_first_bad_state_node); in each case here the
+        # first bad node has a bad x, p or q, so keep_p names the same node
+        # and path, and only after the sweep has run over every diagonal
         coeffs, bounds, grid, incs, blowup_M = FAILING_CASES[case]()
         keep = _kept_nodes(grid)
         try:
@@ -701,6 +725,26 @@ class TestFailingNodeOrder:
         else:
             kept = solve_system(coeffs, bounds, grid, incs, blowup_M=blowup_M, keep_p=keep)
             assert _bits(kept) == _bits(_p_at(sol, keep))
+
+    def test_kept_p_names_the_first_bad_state_node(self):
+        # expgrow at lam = 1e3 with zero noise: u, and so m, overflows at
+        # (1, 8), which the whole solve names.  keep_p at M = inf forms no
+        # flow, so it names the first node where x, p or q is non-finite:
+        # (3, 9), where x overflows
+        grid = Grid(16, 16, 1.0 / 16, 1.0 / 16)
+        coeffs = exponential_growth_coefficients(1e3)
+        bounds = _growth_bounds(grid, [1.0])
+        incs = CellIncrements(np.zeros((16, 16, 1)), grid)
+        for keep, node in ((None, (1, 8)), ([(16, 0)], (3, 9))):
+            with pytest.raises(NumericsError) as err:
+                solve_system(coeffs, bounds, grid, incs, keep_p=keep)
+            assert (err.value.cell, err.value.path) == (node, (0,))
+        # under a finite M the mask reads the flows, so keep_p forms them as
+        # the whole solve does: m is inf at (1, 8), which leaves the domain
+        sol = solve_system(coeffs, bounds, grid, incs, blowup_M=1e300)
+        kept = solve_system(coeffs, bounds, grid, incs, blowup_M=1e300, keep_p=[(16, 0)])
+        assert np.isinf(sol.m_field[0, 1, 8]) and not sol.domain_mask[0, 1, 8]
+        assert _bits(kept) == _bits(_p_at(sol, [(16, 0)]))
 
 
 def _kept_nodes(grid):
